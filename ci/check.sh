@@ -18,6 +18,14 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> chaos seed matrix"
+# The chaos suite precomputes exact expectations from the fault seed, so
+# any seed must pass; sweep a few beyond the defaults.
+for seed in 0xC4A05 0xA11CE 0xF00D5; do
+    echo "== TEP_CHAOS_SEED=$seed =="
+    TEP_CHAOS_SEED=$seed cargo test -p tep --test broker_chaos --offline -q
+done
+
 echo "==> bench smoke (BENCH_throughput.json + BENCH_metrics.prom + alloc/explain/span dumps)"
 cargo run -p tep-bench --release --offline --bin probe -- \
     bench --out BENCH_throughput.json --prom BENCH_metrics.prom --alloc

@@ -17,6 +17,7 @@
 //! [`GlobalAlloc`]: std::alloc::GlobalAlloc
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Heap acquisitions (`alloc` + `alloc_zeroed` + `realloc`) recorded
 /// since process start. Frees are deliberately not tracked: the
@@ -39,6 +40,25 @@ pub fn record_allocation() {
 #[inline]
 pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Held for the whole of every [`count_window`] run. The counter is
+/// process-global, so two runs at once (parallel test threads) would each
+/// count the other's allocations.
+static WINDOW: Mutex<()> = Mutex::new(());
+
+/// Counts the heap allocations `window` performs against the state
+/// `setup` builds. The set-up, the window and the drop of the state all
+/// run under one process-wide lock, so concurrent callers never overlap:
+/// every counting-allocator test must measure through here.
+pub fn count_window<S>(setup: impl FnOnce() -> S, window: impl FnOnce(&S)) -> u64 {
+    let _exclusive = WINDOW.lock().unwrap_or_else(PoisonError::into_inner);
+    let state = setup();
+    let before = allocation_count();
+    window(&state);
+    let allocated = allocation_count() - before;
+    drop(state);
+    allocated
 }
 
 #[cfg(test)]

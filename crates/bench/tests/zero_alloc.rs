@@ -8,6 +8,10 @@
 //! worker batch/inflight/candidate scratches are pre-sized, stat shards
 //! and histograms are wait-free fixed arrays, and `ExactMatcher`'s
 //! no-match verdict never touches the heap.
+//!
+//! The counter is process-global and the harness runs tests on parallel
+//! threads, so every test measures through
+//! `tep_bench::alloc::count_window`, which runs one window at a time.
 
 #[path = "../src/counting_alloc.rs"]
 mod counting_alloc;
@@ -18,47 +22,56 @@ use tep::prelude::*;
 
 const FLUSH: Duration = Duration::from_secs(60);
 
-#[test]
-fn exact_no_match_steady_state_allocates_nothing() {
-    let broker = Broker::start(
-        Arc::new(ExactMatcher::new()),
-        BrokerConfig::default().with_workers(1),
-    );
-    // A subscription that never matches: the steady state under test is
-    // the dominant publish→match→miss path, which must stay off the heap.
-    let never = Subscription::builder()
-        .predicate_exact("device", "never-present")
-        .build()
-        .expect("subscription");
-    let (_id, _rx) = broker.subscribe(never).expect("subscribe");
-    let event = Arc::new(
-        Event::builder()
-            .tuple("device", "computer")
-            .tuple("office", "room 112")
-            .build()
-            .expect("event"),
-    );
-
-    // Warmup: first-touch growth (worker candidate scratch, OS-level
-    // lazy init in mutexes/condvars) happens here, outside the window.
-    for _ in 0..512 {
-        broker.publish_arc(Arc::clone(&event)).expect("publish");
-    }
-    broker.flush_timeout(FLUSH).expect("warmup flush");
-
-    let before = tep_bench::alloc::allocation_count();
+/// Publishes 2048 copies of `event` and waits for the broker to drain —
+/// the counted window of both tests.
+fn publish_steady_state((broker, event): &(Broker, Arc<Event>)) {
     for _ in 0..2048 {
-        broker.publish_arc(Arc::clone(&event)).expect("publish");
+        broker.publish_arc(Arc::clone(event)).expect("publish");
     }
     broker.flush_timeout(FLUSH).expect("flush");
-    let allocated = tep_bench::alloc::allocation_count() - before;
+}
+
+#[test]
+fn exact_no_match_steady_state_allocates_nothing() {
+    let allocated = tep_bench::alloc::count_window(
+        || {
+            let broker = Broker::start(
+                Arc::new(ExactMatcher::new()),
+                BrokerConfig::default().with_workers(1),
+            );
+            // A subscription that never matches: the steady state under
+            // test is the dominant publish→match→miss path, which must
+            // stay off the heap.
+            let never = Subscription::builder()
+                .predicate_exact("device", "never-present")
+                .build()
+                .expect("subscription");
+            let (_id, _rx) = broker.subscribe(never).expect("subscribe");
+            let event = Arc::new(
+                Event::builder()
+                    .tuple("device", "computer")
+                    .tuple("office", "room 112")
+                    .build()
+                    .expect("event"),
+            );
+
+            // Warmup: first-touch growth (worker candidate scratch,
+            // OS-level lazy init in mutexes/condvars) happens here,
+            // outside the window.
+            for _ in 0..512 {
+                broker.publish_arc(Arc::clone(&event)).expect("publish");
+            }
+            broker.flush_timeout(FLUSH).expect("warmup flush");
+            (broker, event)
+        },
+        publish_steady_state,
+    );
 
     assert_eq!(
         allocated, 0,
         "steady-state exact no-match path performed {allocated} heap allocations \
          over 2048 events; the hot path must be allocation-free"
     );
-    broker.close();
 }
 
 #[test]
@@ -68,64 +81,65 @@ fn theme_routed_steady_state_allocates_nothing() {
     // path. The subscription index serves candidates from the worker's
     // reusable scratch, so the routed path must now hold the same
     // zero-allocation guarantee as the broadcast path above.
-    let broker = Broker::start(
-        Arc::new(ExactMatcher::new()),
-        BrokerConfig::default()
-            .with_workers(1)
-            .with_routing_policy(RoutingPolicy::ThemeOverlap),
-    );
-    // A mixed population exercising every candidate source: two themed
-    // subscriptions sharing a tag with the event (one a predicate subset
-    // of the other, so a covering edge is live), one disjoint theme that
-    // must be skipped without a test, and one theme-less broadcast entry.
-    let subs = [
-        Subscription::builder()
-            .theme_tag("power")
-            .predicate_exact("device", "never-present")
-            .build()
-            .expect("subscription"),
-        Subscription::builder()
-            .theme_tag("power")
-            .predicate_exact("device", "never-present")
-            .predicate_exact("office", "nowhere")
-            .build()
-            .expect("subscription"),
-        Subscription::builder()
-            .theme_tag("transport")
-            .predicate_exact("device", "never-present")
-            .build()
-            .expect("subscription"),
-        Subscription::builder()
-            .predicate_exact("office", "never-present")
-            .build()
-            .expect("subscription"),
-    ];
-    for sub in subs {
-        let (_id, _rx) = broker.subscribe(sub).expect("subscribe");
-    }
-    let event = Arc::new(
-        Event::builder()
-            .theme_tag("power")
-            .theme_tag("grid")
-            .tuple("device", "computer")
-            .tuple("office", "room 112")
-            .build()
-            .expect("event"),
-    );
+    let allocated = tep_bench::alloc::count_window(
+        || {
+            let broker = Broker::start(
+                Arc::new(ExactMatcher::new()),
+                BrokerConfig::default()
+                    .with_workers(1)
+                    .with_routing_policy(RoutingPolicy::ThemeOverlap),
+            );
+            // A mixed population exercising every candidate source: two
+            // themed subscriptions sharing a tag with the event (one a
+            // predicate subset of the other, so a covering edge is live),
+            // one disjoint theme that must be skipped without a test, and
+            // one theme-less broadcast entry.
+            let subs = [
+                Subscription::builder()
+                    .theme_tag("power")
+                    .predicate_exact("device", "never-present")
+                    .build()
+                    .expect("subscription"),
+                Subscription::builder()
+                    .theme_tag("power")
+                    .predicate_exact("device", "never-present")
+                    .predicate_exact("office", "nowhere")
+                    .build()
+                    .expect("subscription"),
+                Subscription::builder()
+                    .theme_tag("transport")
+                    .predicate_exact("device", "never-present")
+                    .build()
+                    .expect("subscription"),
+                Subscription::builder()
+                    .predicate_exact("office", "never-present")
+                    .build()
+                    .expect("subscription"),
+            ];
+            for sub in subs {
+                let (_id, _rx) = broker.subscribe(sub).expect("subscribe");
+            }
+            let event = Arc::new(
+                Event::builder()
+                    .theme_tag("power")
+                    .theme_tag("grid")
+                    .tuple("device", "computer")
+                    .tuple("office", "room 112")
+                    .build()
+                    .expect("event"),
+            );
 
-    // Warmup grows the dispatch scratch to the index high-water mark and
-    // seeds the interner's theme front cache for this tag list.
-    for _ in 0..512 {
-        broker.publish_arc(Arc::clone(&event)).expect("publish");
-    }
-    broker.flush_timeout(FLUSH).expect("warmup flush");
-
-    let before = tep_bench::alloc::allocation_count();
-    for _ in 0..2048 {
-        broker.publish_arc(Arc::clone(&event)).expect("publish");
-    }
-    broker.flush_timeout(FLUSH).expect("flush");
-    let allocated = tep_bench::alloc::allocation_count() - before;
+            // Warmup grows the dispatch scratch to the index high-water
+            // mark and seeds the interner's theme front cache for this
+            // tag list.
+            for _ in 0..512 {
+                broker.publish_arc(Arc::clone(&event)).expect("publish");
+            }
+            broker.flush_timeout(FLUSH).expect("warmup flush");
+            (broker, event)
+        },
+        publish_steady_state,
+    );
 
     assert_eq!(
         allocated, 0,
@@ -133,5 +147,4 @@ fn theme_routed_steady_state_allocates_nothing() {
          allocations over 2048 events; candidate collection must reuse the \
          worker scratch"
     );
-    broker.close();
 }

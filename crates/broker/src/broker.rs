@@ -85,10 +85,6 @@ pub(crate) struct Registration {
     /// Consecutive full-channel drops, for
     /// [`crate::SubscriberPolicy::DisconnectAfter`].
     pub(crate) consecutive_full: AtomicU64,
-    /// Whether any predicate carries the `~` approximation — precomputed
-    /// at subscribe time so the match-latency instrumentation classifies
-    /// each test without walking the predicates again.
-    pub(crate) approx: bool,
     /// Whether this subscriber opted into per-notification explanations
     /// ([`SubscribeOptions::explain`]).
     pub(crate) explain: bool,
@@ -838,10 +834,6 @@ impl Broker {
             self.shared.config.subscriber_policy,
             crate::config::SubscriberPolicy::DropOldest
         );
-        let approx = subscription
-            .predicates()
-            .iter()
-            .any(|p| p.is_attribute_approx() || p.is_value_approx());
         // Warm the matcher's caches (and pin the subscription's
         // projections) before the subscription can receive traffic.
         (self.shared.hooks.prepare)(&subscription);
@@ -857,7 +849,6 @@ impl Broker {
             sender: tx,
             receiver: keep_receiver.then(|| rx.clone()),
             consecutive_full: AtomicU64::new(0),
-            approx,
             explain: options.explain,
             notif_counter,
             breaker: self
@@ -1106,7 +1097,8 @@ impl Broker {
     }
 
     /// Installs the shadow quality evaluator: deterministically samples
-    /// one in `every` subscription × event match tests, replays each
+    /// one in `every` candidate subscription × event pairs (including
+    /// pairs served by a shared test or by covering), replays each
     /// sampled pair against `oracle`, and maintains rolling
     /// precision/recall/F1 with confidence bounds and drift alerts
     /// (read with [`Broker::quality`]).

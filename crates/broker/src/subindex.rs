@@ -197,9 +197,8 @@ pub(crate) struct IndexEntry {
     uid: u64,
     key: EntryKey,
     /// Whether any predicate carries `~` (approximate) markers — gates the
-    /// cache-temperature sampling exactly like the per-subscription flag
-    /// did, and approximate entries sort after exact ones in the sweep
-    /// (S-ToPSS: exact layer first).
+    /// cache-temperature sampling, and approximate entries sort after
+    /// exact ones in the sweep (S-ToPSS: exact layer first).
     pub(crate) approx: bool,
     /// The first subscriber's subscription, used for every match test of
     /// this entry. All members have equal predicate multisets, so any
@@ -729,7 +728,6 @@ mod tests {
             sender,
             receiver: Some(receiver),
             consecutive_full: AtomicU64::new(0),
-            approx: false,
             explain: false,
             notif_counter: None,
             breaker: None,

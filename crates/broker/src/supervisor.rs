@@ -22,6 +22,7 @@ use crate::broker::{CostState, Registration, Shared, SubscriptionId};
 use crate::config::{RoutingPolicy, SubscriberPolicy};
 use crate::explain::{CacheTemperature, MatchExplanation, MatchOutcome};
 use crate::notification::Notification;
+use crate::quality::QualityState;
 use crate::stats::{nanos_between, EventTrace, WorkerShard};
 use crate::subindex::{DispatchScratch, IndexEntry};
 use crossbeam::channel::{Receiver, TryRecvError, TrySendError};
@@ -417,6 +418,147 @@ fn explanation_for(
     }
 }
 
+/// Per-event fan-out: hands one entry's verdict to every subscriber
+/// behind the entry. Built once per event; it carries the hoisted
+/// observer switches and the event's delivery accumulators.
+struct FanOut<'a, M: ?Sized> {
+    shared: &'a Shared,
+    matcher: &'a M,
+    shard: &'a WorkerShard,
+    job: &'a Job,
+    explain_ring: bool,
+    quality: Option<&'a QualityState>,
+    /// Notifications admitted to subscriber channels.
+    notifications: usize,
+    /// Subscribers the overload policy flagged for reaping.
+    dead: Vec<SubscriptionId>,
+}
+
+impl<M: Matcher + ?Sized> FanOut<'_, M> {
+    /// Permutes the entry's verdict into each member's predicate order
+    /// (`FanoutMember::result_for`) and hands the member's result to the
+    /// observers — quality sampler, explain ring, per-subscriber
+    /// explanation, cost, spans — and, above the threshold, to
+    /// [`deliver`]. `verdict` is the entry's result (a tested hit, a twin
+    /// hit, or a covering prune's no-match), or the panic reason when
+    /// every attempt panicked. Deliver spans are chained from `start`:
+    /// each member's span starts where the previous member's ended.
+    /// `cost` carries the sampled entry's match nanoseconds, split evenly
+    /// across the fan-out. Returns the summed deliver nanoseconds.
+    fn fan_out(
+        &mut self,
+        entry: &IndexEntry,
+        verdict: Result<&MatchResult, &str>,
+        temperature: CacheTemperature,
+        mut start: Instant,
+        match_span: Option<u64>,
+        cost: Option<(&CostState, u64)>,
+    ) -> u64 {
+        let (shared, matcher, job) = (self.shared, self.matcher, self.job);
+        let (score, mapped, delivering) = match verdict {
+            Ok(r) => {
+                let mapped = !r.is_empty();
+                let delivering = mapped && r.is_match(shared.config.delivery_threshold);
+                (r.score(), mapped, delivering)
+            }
+            Err(_) => (0.0, false, false),
+        };
+        let explain = |id, reg, outcome, detail| {
+            explanation_for(shared, job, id, reg, score, temperature, outcome, detail)
+        };
+        let fan = entry.fanout();
+        let match_share = cost.map_or(0, |(_, ns)| ns / fan.len().max(1) as u64);
+        let mut deliver_total = 0u64;
+        for member in fan.iter() {
+            let (id, reg) = (member.id, &*member.reg);
+            let entry_result = match verdict {
+                Ok(result) => result,
+                Err(reason) => {
+                    if self.explain_ring {
+                        let reason = reason.to_string();
+                        let outcome = MatchOutcome::Panicked { reason };
+                        shared.explain.push(explain(id, reg, outcome, None));
+                    }
+                    continue;
+                }
+            };
+            // Shadow quality sampling: unsampled pairs add a hash and a
+            // modulo. The broker's decision (`delivering`) is judged
+            // against ground truth off the delivery path's critical data.
+            if let Some(quality) = self.quality {
+                if quality.should_sample(job.seq, id.0) {
+                    let cache = matcher.cache_stats();
+                    let lookups = cache.hits + cache.misses;
+                    let hit_rate = if lookups == 0 {
+                        0.0
+                    } else {
+                        cache.hits as f64 / lookups as f64
+                    };
+                    quality.record(&reg.subscription, &job.event, delivering, score, hit_rate);
+                }
+            }
+            // Explanations are computed after the result, and only when
+            // someone will read them.
+            if !delivering {
+                if self.explain_ring {
+                    let result = member.result_for(entry_result);
+                    let detail = matcher.explain_match(&reg.subscription, &job.event, &result);
+                    let outcome = if mapped {
+                        MatchOutcome::BelowThreshold
+                    } else {
+                        MatchOutcome::NoMapping
+                    };
+                    shared.explain.push(explain(id, reg, outcome, Some(detail)));
+                }
+                continue;
+            }
+            let result = member.result_for(entry_result);
+            let detail = (self.explain_ring || reg.explain)
+                .then(|| matcher.explain_match(&reg.subscription, &job.event, &result));
+            let attached = reg
+                .explain
+                .then(|| Box::new(explain(id, reg, MatchOutcome::Delivered, detail.clone())));
+            let notification = Notification {
+                subscription: id,
+                event: Arc::clone(&job.event),
+                result,
+                explanation: attached,
+            };
+            let admitted = deliver(shared, self.shard, id, reg, notification, &mut self.dead);
+            if admitted {
+                self.notifications += 1;
+            }
+            let end = Instant::now();
+            let deliver_ns = nanos_between(start, end);
+            self.shard.stage.deliver.record_nanos(deliver_ns);
+            deliver_total += deliver_ns;
+            if let Some((cost, _)) = cost {
+                cost.charge_subscriber(id.0, match_share, deliver_ns);
+            }
+            if let Some(parent) = match_span {
+                shared.spans.record_new(
+                    Some(parent),
+                    job.seq,
+                    "deliver",
+                    start,
+                    end,
+                    vec![("admitted".to_string(), admitted.to_string())],
+                );
+            }
+            if self.explain_ring {
+                let outcome = if admitted {
+                    MatchOutcome::Delivered
+                } else {
+                    MatchOutcome::DeliveryDropped
+                };
+                shared.explain.push(explain(id, reg, outcome, detail));
+            }
+            start = end;
+        }
+        deliver_total
+    }
+}
+
 /// One instrumented match test: panic isolation with the per-event
 /// attempt budget, per-attempt `match_tests` accounting, and
 /// cache-temperature classification by sampling the matcher's miss
@@ -528,10 +670,12 @@ where
 /// entry's representative serves its whole fan-out (match cost scales
 /// with distinct subscriptions). With a covering-safe matcher the sweep
 /// additionally prunes superset entries on a miss and short-circuits
-/// equal-set twins on a hit (`covered_skips`). Diagnostic modes — the
-/// explain ring and shadow quality sampling — need one test per
-/// subscriber × event pair, so they fall back to per-member testing and
-/// disable covering.
+/// equal-set twins on a hit (`covered_skips`). There is one dispatch
+/// path: every entry verdict — a tested result, a twin's result, a
+/// covering prune's no-match — reaches its members through
+/// [`FanOut::fan_out`], which also feeds the observers (explain ring,
+/// quality sampler, cost, spans) one record per candidate pair.
+/// Installing an observer never changes what is tested or delivered.
 ///
 /// Counters and stage timers go to the calling worker's `shard`;
 /// `scratch` is the worker's reusable candidate snapshot + covering
@@ -653,17 +797,23 @@ fn process_event<M>(
             ],
         )
     });
-    let explain_ring = shared.explain.is_enabled();
-    // Diagnostic modes need one test (and one explanation or quality
-    // sample) per subscriber × event pair, exactly like pre-index
-    // dispatch — aggregation's one-test-per-entry shortcut would starve
-    // them — so they force per-member sweeps. Covering additionally
-    // requires the matcher to declare conjunctive semantics.
-    let per_member = explain_ring || shared.quality.get().is_some();
-    let covering = !per_member && matcher.covering_safe();
+    // Observers see every candidate subscriber × event pair, so when any
+    // is installed a non-delivering entry's fan-out is walked too; the
+    // switch is hoisted once per event and never changes what is tested.
+    let mut fan = FanOut {
+        shared,
+        matcher,
+        shard,
+        job: &job,
+        explain_ring: shared.explain.is_enabled(),
+        quality: shared.quality.get().map(Arc::as_ref),
+        notifications: 0,
+        dead: Vec::new(),
+    };
+    let observed = fan.explain_ring || fan.quality.is_some();
+    // Covering requires the matcher to declare conjunctive semantics.
+    let covering = matcher.covering_safe();
     let mut trace_match_tests = 0usize;
-    let mut trace_notifications = 0usize;
-    let mut dead: Vec<SubscriptionId> = Vec::new();
     let mut exhausted_attempts = 0u32;
     // Per-temperature test counts, flushed into the labeled families in
     // one pass at the end of the event (a branch and three adds per
@@ -685,258 +835,43 @@ fn process_event<M>(
             .cost
             .as_ref()
             .filter(|c| c.should_sample(job.seq, entry.uid()));
-        let mut cost_match_ns = 0u64;
-        let mut cost_deliver_ns = 0u64;
-        if per_member {
-            // Per-pair sweep: every fan-out member is tested against its
-            // own subscription, preserving the one-explanation-per-test
-            // and per-pair quality-sampling invariants.
-            let fan = entry.fanout();
-            for member in fan.iter() {
-                let id = member.id;
-                let reg = &member.reg;
-                let run = run_match_test(
-                    shared,
-                    matcher,
-                    shard,
-                    &reg.subscription,
-                    reg.approx,
-                    &job,
-                    degraded,
-                );
-                trace_match_tests += run.tests_run;
-                match run.temperature {
-                    CacheTemperature::Exact => temp_exact += 1,
-                    CacheTemperature::ThematicCold => temp_thematic += 1,
-                    CacheTemperature::CacheWarm => temp_cached += 1,
-                }
-                if cost.is_some() {
-                    // The same span the stage histogram records, so k=1
-                    // attribution reconciles exactly.
-                    cost_match_ns += nanos_between(run.match_start, run.match_end);
-                }
-                let Some(result) = run.outcome else {
-                    exhausted_attempts = exhausted_attempts.max(run.exhausted);
-                    if let Some(route) = route_span {
-                        shared.spans.record_new(
-                            Some(route),
-                            job.seq,
-                            "match",
-                            run.match_start,
-                            run.match_end,
-                            vec![
-                                ("subscription".to_string(), id.to_string()),
-                                (
-                                    "temperature".to_string(),
-                                    run.temperature.as_str().to_string(),
-                                ),
-                                ("outcome".to_string(), "panicked".to_string()),
-                            ],
-                        );
-                    }
-                    if explain_ring {
-                        let reason = run
-                            .last_panic
-                            .unwrap_or_else(|| "unknown panic".to_string());
-                        shared.explain.push(explanation_for(
-                            shared,
-                            &job,
-                            id,
-                            reg,
-                            0.0,
-                            run.temperature,
-                            MatchOutcome::Panicked { reason },
-                            None,
-                        ));
-                    }
-                    continue;
-                };
-                let score = result.score();
-                let mapped = !result.is_empty();
-                let delivering = mapped && result.is_match(shared.config.delivery_threshold);
-                // Shadow quality sampling: with no oracle installed this
-                // is one `OnceLock` load; with one, unsampled tests add a
-                // hash and a modulo. The broker's decision (`delivering`)
-                // is judged against ground truth off the delivery path's
-                // critical data.
-                if let Some(quality) = shared.quality.get() {
-                    if quality.should_sample(job.seq, id.0) {
-                        let cache = matcher.cache_stats();
-                        let lookups = cache.hits + cache.misses;
-                        let hit_rate = if lookups == 0 {
-                            0.0
-                        } else {
-                            cache.hits as f64 / lookups as f64
-                        };
-                        quality.record(&reg.subscription, &job.event, delivering, score, hit_rate);
-                    }
-                }
-                // Explanations are computed once per test, after the
-                // result, and only when someone will read them.
-                let detail = (explain_ring || (reg.explain && delivering))
-                    .then(|| matcher.explain_match(&reg.subscription, &job.event, &result));
-                let match_span = route_span.map(|route| {
-                    shared.spans.record_new(
-                        Some(route),
-                        job.seq,
-                        "match",
-                        run.match_start,
-                        run.match_end,
-                        vec![
-                            ("subscription".to_string(), id.to_string()),
-                            (
-                                "temperature".to_string(),
-                                run.temperature.as_str().to_string(),
-                            ),
-                            ("score".to_string(), format!("{score}")),
-                        ],
-                    )
-                });
-                if delivering {
-                    let attached = reg.explain.then(|| {
-                        Box::new(explanation_for(
-                            shared,
-                            &job,
-                            id,
-                            reg,
-                            score,
-                            run.temperature,
-                            MatchOutcome::Delivered,
-                            detail.clone(),
-                        ))
-                    });
-                    let notification = Notification {
-                        subscription: id,
-                        event: Arc::clone(&job.event),
-                        result,
-                        explanation: attached,
-                    };
-                    // Stage 3 (deliver): match decision → channel hand-off.
-                    let admitted = deliver(shared, shard, id, reg, notification, &mut dead);
-                    if admitted {
-                        trace_notifications += 1;
-                    }
-                    let deliver_end = Instant::now();
-                    let deliver_ns = nanos_between(run.match_end, deliver_end);
-                    shard.stage.deliver.record_nanos(deliver_ns);
-                    if let Some(cost) = cost {
-                        cost_deliver_ns += deliver_ns;
-                        cost.charge_subscriber(
-                            id.0,
-                            nanos_between(run.match_start, run.match_end),
-                            deliver_ns,
-                        );
-                    }
-                    if let Some(parent) = match_span {
-                        shared.spans.record_new(
-                            Some(parent),
-                            job.seq,
-                            "deliver",
-                            run.match_end,
-                            deliver_end,
-                            vec![("admitted".to_string(), admitted.to_string())],
-                        );
-                    }
-                    if explain_ring {
-                        let outcome = if admitted {
-                            MatchOutcome::Delivered
-                        } else {
-                            MatchOutcome::DeliveryDropped
-                        };
-                        shared.explain.push(explanation_for(
-                            shared,
-                            &job,
-                            id,
-                            reg,
-                            score,
-                            run.temperature,
-                            outcome,
-                            detail,
-                        ));
-                    }
-                } else if explain_ring {
-                    let outcome = if mapped {
-                        MatchOutcome::BelowThreshold
-                    } else {
-                        MatchOutcome::NoMapping
-                    };
-                    shared.explain.push(explanation_for(
-                        shared,
-                        &job,
-                        id,
-                        reg,
-                        score,
-                        run.temperature,
-                        outcome,
-                        detail,
-                    ));
-                }
-            }
-            if let Some(cost) = cost {
-                flush_entry_cost(cost, &entry, &job, cost_match_ns, cost_deliver_ns);
-            }
-            continue;
-        }
-        // Aggregated sweep: one test per entry serves its whole fan-out.
+        // One test per entry serves its whole fan-out.
         if covering {
             if scratch.is_pruned(&entry) {
-                // A covered subset entry missed; this entry cannot match.
+                // A covered subset entry missed, so this entry cannot
+                // match: its members get the verdict a conjunctive
+                // matcher would have returned.
                 shard.covered_skips.fetch_add(1, Ordering::Relaxed);
+                if observed {
+                    let verdict = MatchResult::no_match();
+                    let start = Instant::now();
+                    fan.fan_out(
+                        &entry,
+                        Ok(&verdict),
+                        CacheTemperature::Exact,
+                        start,
+                        None,
+                        None,
+                    );
+                }
                 continue;
             }
             if let Some(result) = scratch.take_twin_hit(&entry) {
-                // An equal-set twin hit; deliver its (already permuted)
-                // result to this entry's fan-out without a test.
+                // An equal-set twin hit; its (already permuted) result
+                // serves this entry's fan-out without a test.
                 shard.covered_skips.fetch_add(1, Ordering::Relaxed);
-                let score = result.score();
-                let twin_start = Instant::now();
-                let fan = entry.fanout();
-                for member in fan.iter() {
-                    let member_result = member.result_for(&result);
-                    let attached = member.reg.explain.then(|| {
-                        let d = matcher.explain_match(
-                            &member.reg.subscription,
-                            &job.event,
-                            &member_result,
-                        );
-                        Box::new(explanation_for(
-                            shared,
-                            &job,
-                            member.id,
-                            &member.reg,
-                            score,
-                            CacheTemperature::Exact,
-                            MatchOutcome::Delivered,
-                            Some(d),
-                        ))
-                    });
-                    let notification = Notification {
-                        subscription: member.id,
-                        event: Arc::clone(&job.event),
-                        result: member_result,
-                        explanation: attached,
-                    };
-                    let admitted = deliver(
-                        shared,
-                        shard,
-                        member.id,
-                        &member.reg,
-                        notification,
-                        &mut dead,
-                    );
-                    if admitted {
-                        trace_notifications += 1;
-                    }
-                    let deliver_end = Instant::now();
-                    let deliver_ns = nanos_between(twin_start, deliver_end);
-                    shard.stage.deliver.record_nanos(deliver_ns);
-                    if let Some(cost) = cost {
-                        cost_deliver_ns += deliver_ns;
-                        cost.charge_subscriber(member.id.0, 0, deliver_ns);
-                    }
-                }
-                if let Some(cost) = cost {
-                    flush_entry_cost(cost, &entry, &job, cost_match_ns, cost_deliver_ns);
+                let start = Instant::now();
+                let cost = cost.map(|c| (c, 0));
+                let deliver_ns = fan.fan_out(
+                    &entry,
+                    Ok(&result),
+                    CacheTemperature::Exact,
+                    start,
+                    None,
+                    cost,
+                );
+                if let Some((cost, _)) = cost {
+                    flush_entry_cost(cost, &entry, &job, 0, deliver_ns);
                 }
                 continue;
             }
@@ -956,13 +891,19 @@ fn process_event<M>(
             CacheTemperature::ThematicCold => temp_thematic += 1,
             CacheTemperature::CacheWarm => temp_cached += 1,
         }
-        if cost.is_some() {
-            cost_match_ns += nanos_between(run.match_start, run.match_end);
-        }
+        // The same span the stage histogram records, so k=1 attribution
+        // reconciles exactly.
+        let cost = cost.map(|c| (c, nanos_between(run.match_start, run.match_end)));
+        let label = || {
+            entry
+                .fanout()
+                .first()
+                .map(|m| m.id.to_string())
+                .unwrap_or_else(|| "entry".to_string())
+        };
         let Some(result) = run.outcome else {
             exhausted_attempts = exhausted_attempts.max(run.exhausted);
             if let Some(route) = route_span {
-                let label = entry.fanout().first().map(|m| m.id.to_string());
                 shared.spans.record_new(
                     Some(route),
                     job.seq,
@@ -970,10 +911,7 @@ fn process_event<M>(
                     run.match_start,
                     run.match_end,
                     vec![
-                        (
-                            "subscription".to_string(),
-                            label.unwrap_or_else(|| "entry".to_string()),
-                        ),
+                        ("subscription".to_string(), label()),
                         (
                             "temperature".to_string(),
                             run.temperature.as_str().to_string(),
@@ -982,8 +920,19 @@ fn process_event<M>(
                     ],
                 );
             }
-            if let Some(cost) = cost {
-                flush_entry_cost(cost, &entry, &job, cost_match_ns, cost_deliver_ns);
+            if fan.explain_ring {
+                let reason = run.last_panic.as_deref().unwrap_or("unknown panic");
+                fan.fan_out(
+                    &entry,
+                    Err(reason),
+                    run.temperature,
+                    run.match_end,
+                    None,
+                    None,
+                );
+            }
+            if let Some((cost, match_ns)) = cost {
+                flush_entry_cost(cost, &entry, &job, match_ns, 0);
             }
             continue;
         };
@@ -1000,11 +949,6 @@ fn process_event<M>(
             }
         }
         let match_span = route_span.map(|route| {
-            let label = entry
-                .fanout()
-                .first()
-                .map(|m| m.id.to_string())
-                .unwrap_or_else(|| "entry".to_string());
             shared.spans.record_new(
                 Some(route),
                 job.seq,
@@ -1012,7 +956,7 @@ fn process_event<M>(
                 run.match_start,
                 run.match_end,
                 vec![
-                    ("subscription".to_string(), label),
+                    ("subscription".to_string(), label()),
                     (
                         "temperature".to_string(),
                         run.temperature.as_str().to_string(),
@@ -1021,71 +965,27 @@ fn process_event<M>(
                 ],
             )
         });
-        if delivering {
-            let fan = entry.fanout();
-            for member in fan.iter() {
-                let member_result = member.result_for(&result);
-                let attached = member.reg.explain.then(|| {
-                    let d =
-                        matcher.explain_match(&member.reg.subscription, &job.event, &member_result);
-                    Box::new(explanation_for(
-                        shared,
-                        &job,
-                        member.id,
-                        &member.reg,
-                        score,
-                        run.temperature,
-                        MatchOutcome::Delivered,
-                        Some(d),
-                    ))
-                });
-                let notification = Notification {
-                    subscription: member.id,
-                    event: Arc::clone(&job.event),
-                    result: member_result,
-                    explanation: attached,
-                };
-                // Stage 3 (deliver): match decision → channel hand-off.
-                let admitted = deliver(
-                    shared,
-                    shard,
-                    member.id,
-                    &member.reg,
-                    notification,
-                    &mut dead,
-                );
-                if admitted {
-                    trace_notifications += 1;
-                }
-                let deliver_end = Instant::now();
-                let deliver_ns = nanos_between(run.match_end, deliver_end);
-                shard.stage.deliver.record_nanos(deliver_ns);
-                if let Some(cost) = cost {
-                    cost_deliver_ns += deliver_ns;
-                    // An aggregated test served the whole fan-out, so a
-                    // delivered member's match share is an even split.
-                    cost.charge_subscriber(
-                        member.id.0,
-                        cost_match_ns / fan.len().max(1) as u64,
-                        deliver_ns,
-                    );
-                }
-                if let Some(parent) = match_span {
-                    shared.spans.record_new(
-                        Some(parent),
-                        job.seq,
-                        "deliver",
-                        run.match_end,
-                        deliver_end,
-                        vec![("admitted".to_string(), admitted.to_string())],
-                    );
-                }
-            }
+        let mut deliver_ns = 0;
+        if delivering || observed {
+            // Stage 3 (deliver) starts at the match decision.
+            deliver_ns = fan.fan_out(
+                &entry,
+                Ok(&result),
+                run.temperature,
+                run.match_end,
+                match_span,
+                cost,
+            );
         }
-        if let Some(cost) = cost {
-            flush_entry_cost(cost, &entry, &job, cost_match_ns, cost_deliver_ns);
+        if let Some((cost, match_ns)) = cost {
+            flush_entry_cost(cost, &entry, &job, match_ns, deliver_ns);
         }
     }
+    let FanOut {
+        notifications: trace_notifications,
+        dead,
+        ..
+    } = fan;
     if !dead.is_empty() {
         let mut reaped: Vec<(SubscriptionId, Arc<Registration>)> = Vec::new();
         {
@@ -1173,7 +1073,7 @@ fn process_event<M>(
 /// recycling), each of the event's theme tags (the full cost, mirroring
 /// `match_by_theme` semantics), and the global sampled totals the
 /// reconciliation invariant checks. Subscriber shares were already
-/// charged at the delivery sites, where per-member timings exist.
+/// charged in [`FanOut::fan_out`], where per-member timings exist.
 /// Allocation-free in steady state: labels were preformatted at
 /// subscribe time and theme counters hit the family's read path.
 fn flush_entry_cost(

@@ -411,6 +411,47 @@ fn subscribe_with_attaches_explanations_only_when_opted_in() {
     b.shutdown();
 }
 
+/// An aggregated fan-out times its deliveries back to back: four
+/// duplicate subscribers share one match span, and its four deliver
+/// spans follow one another instead of each restarting at the match end.
+#[test]
+fn fanout_deliver_spans_do_not_overlap() {
+    let b = exact_broker(
+        BrokerConfig::default()
+            .with_workers(1)
+            .with_span_sampling(1)
+            .with_span_capacity(64),
+    );
+    let _receivers: Vec<_> = (0..4)
+        .map(|_| {
+            b.subscribe(parse_subscription("{k= v}").unwrap())
+                .unwrap()
+                .1
+        })
+        .collect();
+    b.publish(parse_event("{k: v}").unwrap()).unwrap();
+    b.flush().unwrap();
+
+    let spans = b.spans();
+    let matches: Vec<_> = spans.iter().filter(|s| s.name == "match").collect();
+    assert_eq!(matches.len(), 1, "one test serves the four duplicates");
+    let mut delivers: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "deliver" && s.parent == Some(matches[0].id))
+        .collect();
+    assert_eq!(delivers.len(), 4, "one deliver span per subscriber");
+    delivers.sort_by_key(|s| s.start_ns);
+    for pair in delivers.windows(2) {
+        assert!(
+            pair[1].start_ns >= pair[0].start_ns + pair[0].duration_ns,
+            "deliver spans overlap: {:?} then {:?}",
+            pair[0],
+            pair[1]
+        );
+    }
+    b.shutdown();
+}
+
 /// A sampled event's journey reconstructs as a causal tree:
 /// publish → route → match → deliver.
 #[test]
@@ -624,6 +665,60 @@ fn explanation_counts_reconcile_with_match_counters() {
         b.explain_last(1024).len() as u64,
         stats.match_tests,
         "shed events leave no explanation"
+    );
+    b.shutdown();
+
+    // A population where one test serves several subscribers: duplicate
+    // subscriptions share an entry, a themed twin of that entry is served
+    // by its twin's hit, and a superset of a missing subset is pruned
+    // (the exact matcher is covering-safe). The ring still records one
+    // explanation per candidate subscriber × event pair, while the
+    // matcher runs fewer tests than there are pairs. A two-slot channel
+    // that is never drained makes some deliveries fail.
+    let mut config = BrokerConfig::default()
+        .with_workers(1)
+        .with_explain_capacity(1024);
+    config.notification_capacity = 2;
+    let b = exact_broker(config);
+    let subscriptions = [
+        "{k= v}",
+        "{k= v}",
+        "{k= v, j= w}",
+        "({power}, {k= v})",
+        "{m= z}",
+        "{m= z, k= v}",
+    ];
+    let _receivers: Vec<_> = subscriptions
+        .iter()
+        .map(|s| b.subscribe(parse_subscription(s).unwrap()).unwrap().1)
+        .collect();
+    let events = 10u64;
+    for i in 0..events {
+        let extra = if i % 2 == 0 { ", j: w" } else { "" };
+        b.publish(parse_event(&format!("{{k: v{extra}, i: n{i}}}")).unwrap())
+            .unwrap();
+    }
+    b.flush().unwrap();
+
+    let stats = b.stats();
+    let pairs = subscriptions.len() as u64 * events;
+    assert!(stats.covered_skips > 0, "covering served some pairs");
+    assert!(stats.match_tests < pairs, "one test served several pairs");
+    let explanations = b.explain_last(1024);
+    assert_eq!(
+        explanations.len() as u64,
+        pairs,
+        "one explanation per candidate pair, tested or not"
+    );
+    let outcome = |o: MatchOutcome| explanations.iter().filter(|e| e.outcome == o).count() as u64;
+    assert_eq!(outcome(MatchOutcome::Delivered), stats.notifications);
+    assert!(
+        stats.delivery_failures() > 0,
+        "the full channels dropped some"
+    );
+    assert_eq!(
+        outcome(MatchOutcome::DeliveryDropped),
+        stats.delivery_failures()
     );
     b.shutdown();
 }

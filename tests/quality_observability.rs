@@ -87,6 +87,18 @@ fn live_sampled_f1_agrees_with_offline_eval_f1() {
     assert!(full.judged() > 0);
     assert_eq!(full.f1, offline, "k=1 live F1 must equal offline F1");
 
+    // The same slice subscribed twice: each duplicate shares its twin's
+    // index entry and match test, yet the sampler still judges every
+    // subscriber × event pair, so the judged count doubles and the F1 of
+    // the doubled confusion matrix is unchanged.
+    let twice: Vec<Subscription> = subs.iter().chain(&subs).cloned().collect();
+    let doubled = live_report(&oracle, &twice, &events, 1, 2);
+    assert_eq!(doubled.judged(), 2 * full.judged());
+    assert_eq!(
+        doubled.f1, offline,
+        "duplicates leave the k=1 live F1 exact"
+    );
+
     // 1-in-7 sampling: the live F1 is an unbiased estimate and must land
     // within its own reported confidence interval of the population F1.
     // Sampling is a deterministic hash of (sequence, subscription), so

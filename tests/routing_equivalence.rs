@@ -47,6 +47,129 @@ fn pair_set(min: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
         })
 }
 
+/// A subscription over the pools: `preds` are (attribute, value) indices.
+fn subscription_of(tags: &[String], preds: &[(usize, usize)]) -> Subscription {
+    let mut b = Subscription::builder().theme_tags(tags.iter().map(String::as_str));
+    for &(a, v) in preds {
+        b = b.predicate_exact(ATTR_POOL[a], VALUE_POOL[v]);
+    }
+    b.build().unwrap()
+}
+
+/// Event `i` over the pools, carrying its index in a `seq` tuple.
+fn event_of(i: usize, tags: &[String], tuples: &[(usize, usize)]) -> Event {
+    let mut b = Event::builder()
+        .theme_tags(tags.iter().map(String::as_str))
+        .tuple("seq", &format!("n{i}"));
+    for &(a, v) in tuples {
+        b = b.tuple(ATTR_POOL[a], VALUE_POOL[v]);
+    }
+    b.build().unwrap()
+}
+
+/// Quality ground truth that judges every pair, so the sampler's
+/// judged count is the number of pairs it saw.
+struct EveryPairJudged;
+
+impl QualityOracle for EveryPairJudged {
+    fn judge(&self, _subscription: &Subscription, _event: &Event) -> Option<bool> {
+        Some(true)
+    }
+}
+
+/// One generated subscription or event: theme tags plus (attribute,
+/// value) pool indices.
+type Spec = (Vec<String>, Vec<(usize, usize)>);
+
+/// A delivered result's correspondences, as (predicate, tuple) per
+/// mapping.
+type Correspondences = Vec<Vec<(usize, usize)>>;
+
+/// What one broker run over a population tested and delivered.
+struct DispatchRun {
+    /// (subscription position, event index, correspondences) for every
+    /// notification.
+    delivered: BTreeSet<(usize, usize, Correspondences)>,
+    match_tests: u64,
+    covered_skips: u64,
+    routing_skipped: u64,
+    explanations: usize,
+    judged: u64,
+}
+
+/// Dispatches every event to every subscription of a population, with
+/// every observer off or every observer on: the explain ring, quality
+/// sampling at k=1, span sampling at 1, cost attribution at 1, and the
+/// first subscriber opted into per-notification explanations.
+fn dispatch(
+    sub_specs: &[Spec],
+    event_specs: &[Spec],
+    policy: RoutingPolicy,
+    observed: bool,
+) -> DispatchRun {
+    let mut config = BrokerConfig::default()
+        .with_workers(1)
+        .with_routing_policy(policy);
+    if observed {
+        config = config
+            .with_explain_capacity(1024)
+            .with_span_sampling(1)
+            .with_span_capacity(4096)
+            .with_cost_attribution(1);
+    }
+    let mut broker = Broker::start(Arc::new(ExactMatcher::new()), config);
+    if observed {
+        broker = broker.with_quality_sampling(1, Box::new(EveryPairJudged));
+    }
+    let mut receivers = Vec::new();
+    for (pos, (tags, preds)) in sub_specs.iter().enumerate() {
+        let options = if observed && pos == 0 {
+            SubscribeOptions::explained()
+        } else {
+            SubscribeOptions::default()
+        };
+        let (_, rx) = broker
+            .subscribe_with(subscription_of(tags, preds), options)
+            .unwrap();
+        receivers.push(rx);
+    }
+    for (i, (tags, tuples)) in event_specs.iter().enumerate() {
+        broker.publish(event_of(i, tags, tuples)).unwrap();
+    }
+    broker.flush().unwrap();
+
+    let mut delivered = BTreeSet::new();
+    for (pos, rx) in receivers.iter().enumerate() {
+        while let Ok(n) = rx.try_recv() {
+            let seq = n.event.value_of("seq").expect("seq tuple");
+            let i: usize = seq[1..].parse().expect("seq number");
+            let correspondences = n
+                .result
+                .mappings()
+                .iter()
+                .map(|m| {
+                    m.correspondences()
+                        .iter()
+                        .map(|c| (c.predicate, c.tuple))
+                        .collect()
+                })
+                .collect();
+            delivered.insert((pos, i, correspondences));
+        }
+    }
+    let stats = broker.stats();
+    let run = DispatchRun {
+        delivered,
+        match_tests: stats.match_tests,
+        covered_skips: stats.covered_skips,
+        routing_skipped: stats.routing_skipped,
+        explanations: broker.explain_last(1024).len(),
+        judged: broker.quality().map_or(0, |q| q.judged()),
+    };
+    broker.shutdown();
+    run
+}
+
 proptest! {
     #[test]
     fn theme_routing_equals_brute_force_dispatch(
@@ -133,23 +256,13 @@ proptest! {
             );
             let mut subs = Vec::new();
             for (tags, preds) in &sub_specs {
-                let mut b = Subscription::builder().theme_tags(tags.iter().map(String::as_str));
-                for &(a, v) in preds {
-                    b = b.predicate_exact(ATTR_POOL[a], VALUE_POOL[v]);
-                }
-                let s = b.build().unwrap();
+                let s = subscription_of(tags, preds);
                 let (id, rx) = broker.subscribe(s.clone()).unwrap();
                 subs.push((id, s, rx));
             }
             let mut events = Vec::new();
             for (i, (tags, tuples)) in event_specs.iter().enumerate() {
-                let mut b = Event::builder()
-                    .theme_tags(tags.iter().map(String::as_str))
-                    .tuple("seq", &format!("n{i}"));
-                for &(a, v) in tuples {
-                    b = b.tuple(ATTR_POOL[a], VALUE_POOL[v]);
-                }
-                let e = b.build().unwrap();
+                let e = event_of(i, tags, tuples);
                 broker.publish(e.clone()).unwrap();
                 events.push(e);
             }
@@ -219,6 +332,30 @@ proptest! {
             prop_assert!(stats.distinct_subscriptions <= sub_specs.len() as u64);
             prop_assert!(stats.index_entries >= stats.distinct_subscriptions);
             broker.shutdown();
+        }
+    }
+
+    /// Observers watch the one entry sweep; they never switch dispatch
+    /// to another path. Over the same duplicate/permuted/covering
+    /// populations as above, a broker with every observer installed
+    /// tests and delivers exactly what an unobserved broker does —
+    /// correspondences included — while the explain ring and the
+    /// quality sampler each record one entry per candidate pair.
+    #[test]
+    fn observers_never_change_what_is_tested_or_delivered(
+        sub_specs in proptest::collection::vec((tag_set(), pair_set(1)), 1..12),
+        event_specs in proptest::collection::vec((tag_set(), pair_set(0)), 1..8),
+    ) {
+        for policy in [RoutingPolicy::Broadcast, RoutingPolicy::ThemeOverlap] {
+            let off = dispatch(&sub_specs, &event_specs, policy, false);
+            let on = dispatch(&sub_specs, &event_specs, policy, true);
+            prop_assert_eq!(&on.delivered, &off.delivered, "delivered under {:?}", policy);
+            prop_assert_eq!(on.match_tests, off.match_tests, "match_tests under {:?}", policy);
+            prop_assert_eq!(on.covered_skips, off.covered_skips);
+            prop_assert_eq!(on.routing_skipped, off.routing_skipped);
+            let pairs = (sub_specs.len() * event_specs.len()) as u64 - on.routing_skipped;
+            prop_assert_eq!(on.explanations as u64, pairs, "one explanation per candidate pair");
+            prop_assert_eq!(on.judged, pairs, "one quality sample per candidate pair");
         }
     }
 }
