@@ -18,6 +18,16 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> broker_bench: fmt --check, clippy -D warnings, release build"
+# The benchmark is a Cargo workspace of its own, so the workspace-wide
+# steps above never see it.
+cargo fmt --manifest-path broker_bench/Cargo.toml -- --check
+cargo clippy --manifest-path broker_bench/Cargo.toml --all-targets --offline -- -D warnings
+cargo build --manifest-path broker_bench/Cargo.toml --release --offline
+
+echo "==> broker_bench smoke (every gated workload, --trace 0 and 1)"
+sh ci/broker_bench_smoke.sh
+
 echo "==> chaos seed matrix"
 # The chaos suite precomputes exact expectations from the fault seed, so
 # any seed must pass; sweep a few beyond the defaults.

@@ -1,4 +1,5 @@
-//! Steady-state zero-allocation guarantee for the exact-match hot path.
+//! Steady-state zero-allocation guarantee for the exact-match and warm
+//! thematic hot paths.
 //!
 //! Registers the counting global allocator (the same `#[path]` include
 //! the `probe` binary uses), warms a broker until every reusable buffer
@@ -6,8 +7,9 @@
 //! publish→dequeue→match→drain run performs **zero** heap allocations:
 //! the `Arc<Event>` is wrapped once by the caller, the channel ring and
 //! worker batch/inflight/candidate scratches are pre-sized, stat shards
-//! and histograms are wait-free fixed arrays, and `ExactMatcher`'s
-//! no-match verdict never touches the heap.
+//! and histograms are wait-free fixed arrays, `ExactMatcher`'s no-match
+//! verdict never touches the heap, and the thematic matcher's interning
+//! fronts and score L1 allocate only on a thread's first sighting.
 //!
 //! The counter is process-global and the harness runs tests on parallel
 //! threads, so every test measures through
@@ -19,6 +21,7 @@ mod counting_alloc;
 use std::sync::Arc;
 use std::time::Duration;
 use tep::prelude::*;
+use tep_eval::{EvalConfig, MatcherStack};
 
 const FLUSH: Duration = Duration::from_secs(60);
 
@@ -146,5 +149,59 @@ fn theme_routed_steady_state_allocates_nothing() {
         "steady-state theme-routed no-match path performed {allocated} heap \
          allocations over 2048 events; candidate collection must reuse the \
          worker scratch"
+    );
+}
+
+#[test]
+fn thematic_rejected_steady_state_allocates_nothing() {
+    // The warm semantic path: a themed, attribute-approximate
+    // subscription makes every test intern through the worker's fronts
+    // and probe the measure's score L1, then fail on the exact value
+    // side. Warm-up fills the fronts, the L1, the event scope and the
+    // matrix scratch; after that a rejected test must stay off the heap.
+    let allocated = tep_bench::alloc::count_window(
+        || {
+            let stack = MatcherStack::build(&EvalConfig::tiny());
+            let matcher = Arc::new(stack.thematic_cached());
+            let broker = Broker::start(
+                Arc::clone(&matcher),
+                BrokerConfig::default().with_workers(1),
+            );
+            let never = Subscription::builder()
+                .theme_tag("energy policy")
+                .predicate_approx_attribute("device", "never-present")
+                .predicate_approx_attribute("office", "never-present")
+                .build()
+                .expect("subscription");
+            let (_id, rx) = broker.subscribe(never).expect("subscribe");
+            let event = Arc::new(
+                Event::builder()
+                    .theme_tag("energy policy")
+                    .tuple("device", "computer")
+                    .tuple("office", "room 112")
+                    .build()
+                    .expect("event"),
+            );
+
+            for _ in 0..512 {
+                broker.publish_arc(Arc::clone(&event)).expect("publish");
+            }
+            broker.flush_timeout(FLUSH).expect("warmup flush");
+            assert!(rx.try_recv().is_err(), "the subscription must never match");
+            assert_eq!(broker.stats().notifications, 0);
+            assert!(
+                matcher.measure().memo_stats().hits >= 512,
+                "warm-up must exercise the semantic measure"
+            );
+            (broker, event)
+        },
+        publish_steady_state,
+    );
+
+    assert_eq!(
+        allocated, 0,
+        "steady-state thematic rejected path performed {allocated} heap \
+         allocations over 2048 events; interning fronts and the score L1 \
+         may allocate only on a thread's first sighting"
     );
 }

@@ -113,12 +113,11 @@ impl StageTimers {
 /// Match latency is split three ways at record time: subscriptions with no
 /// approximate (`~`) predicate land in [`StageLatencies::match_exact`];
 /// approximate subscriptions are classified per test by sampling the
-/// matcher's monotone cache-miss counter around the call —
-/// [`StageLatencies::match_thematic`] when the test paid at least one
+/// matcher's cache-miss count for the worker's own thread around the call
+/// — [`StageLatencies::match_thematic`] when the test paid at least one
 /// semantic-cache miss, [`StageLatencies::match_cached`] when it was
-/// served warm. The classification is approximate under concurrency
-/// (another worker's miss can land inside the sampled window) and
-/// matchers without semantic caches report every approximate test as
+/// served warm. Another worker's misses never move the sampled count.
+/// Matchers without semantic caches report every approximate test as
 /// cached; use [`StageLatencies::match_combined`] when the split does not
 /// matter.
 #[derive(Debug, Clone, Default)]

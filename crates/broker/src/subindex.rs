@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tep_events::{ComparisonOp, Event, Predicate, Subscription};
 use tep_matcher::MatchResult;
-use tep_semantics::{intern_term, theme_for_tags, ThemeId};
+use tep_semantics::{intern_term, resolve_theme, theme_for_tags, ThemeId};
 
 /// One predicate in canonical interned form. Ordering is derived so a
 /// predicate list can be sorted into a canonical multiset.
@@ -323,7 +323,8 @@ impl SubscriptionIndex {
     /// cost-attribution cells) against the hash-consed identity.
     pub(crate) fn insert(&self, id: SubscriptionId, reg: &Arc<Registration>) -> (u32, u64) {
         let sub = &reg.subscription;
-        let (theme_id, theme) = theme_for_tags(sub.theme_tags());
+        let theme_id = theme_for_tags(sub.theme_tags());
+        let theme = resolve_theme(theme_id);
         let key = EntryKey::of(sub, theme_id);
         let mut inner = self.inner.write();
 
@@ -471,7 +472,8 @@ impl SubscriptionIndex {
     /// are left in place — they are invalidated by uid and a recycled slot
     /// always gets a fresh uid.
     pub(crate) fn remove(&self, id: SubscriptionId, sub: &Subscription) {
-        let (theme_id, theme) = theme_for_tags(sub.theme_tags());
+        let theme_id = theme_for_tags(sub.theme_tags());
+        let theme = resolve_theme(theme_id);
         let key = EntryKey::of(sub, theme_id);
         let mut inner = self.inner.write();
         let Some(&slot) = inner.by_key.get(&key) else {
@@ -561,7 +563,7 @@ impl SubscriptionIndex {
                 }
             }
             if !event.theme_tags().is_empty() {
-                let (_, theme) = theme_for_tags(event.theme_tags());
+                let theme = resolve_theme(theme_for_tags(event.theme_tags()));
                 for tag in theme.tags() {
                     if let Some(bucket) = inner.by_tag.get(tag) {
                         for &s in bucket {

@@ -561,8 +561,8 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
 
 /// One instrumented match test: panic isolation with the per-event
 /// attempt budget, per-attempt `match_tests` accounting, and
-/// cache-temperature classification by sampling the matcher's miss
-/// counter around the call.
+/// cache-temperature classification by sampling the matcher's
+/// per-thread miss count around the call.
 struct TestRun {
     outcome: Option<MatchResult>,
     match_start: Instant,
@@ -588,9 +588,11 @@ where
     M: Matcher + ?Sized,
 {
     // Approximate subscriptions are classified by sampling the matcher's
-    // miss counter around the call: a miss delta means the test computed
-    // a projection (thematic-cold), no delta means warm caches served it.
-    // Exact-only subscriptions skip the sampling entirely.
+    // miss count for this thread around the call: a miss delta means the
+    // test computed a projection (thematic-cold), no delta means warm
+    // caches served it. The count is per thread, so another worker's
+    // misses cannot relabel this test. Exact-only subscriptions skip the
+    // sampling entirely.
     let miss_before = if approx {
         matcher.cache_miss_count()
     } else {

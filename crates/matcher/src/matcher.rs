@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
 use tep_events::{ComparisonOp, Event, Subscription};
-use tep_semantics::{theme_for_tags, CacheStats, SemanticMeasure, Theme};
+use tep_semantics::{resolve_theme, theme_for_tags, CacheStats, SemanticMeasure, Theme};
 
 thread_local! {
     /// Per-worker similarity/cost matrix scratch, recycled across match
@@ -118,12 +118,13 @@ pub trait Matcher: Send + Sync {
         CacheStats::default()
     }
 
-    /// The monotone cache-**miss** counter alone, implemented with plain
-    /// atomic loads so the broker can sample it around an individual
-    /// match test and attribute the latency to the cache-warm or
-    /// cache-cold histogram ([`Self::cache_stats`] counts resident
-    /// entries under shard locks and is too heavy for that). Matchers
-    /// without caches return 0.
+    /// Semantic-cache misses taken **on the calling thread**, monotone
+    /// (see [`SemanticMeasure::cache_miss_count`]). The broker samples it
+    /// around an individual match test to attribute the latency to the
+    /// cache-warm or cache-cold histogram; other workers' misses never
+    /// move it ([`Self::cache_stats`] counts resident entries under shard
+    /// locks and is too heavy for that). Matchers without caches return
+    /// 0.
     fn cache_miss_count(&self) -> u64 {
         0
     }
@@ -402,8 +403,8 @@ impl<M: SemanticMeasure> Matcher for ProbabilisticMatcher<M> {
         // rows the pruned hot-path build skipped, so rejections explain
         // every predicate too.
         let matrix = self.similarity_matrix(subscription, event);
-        let (_, ths) = theme_for_tags(subscription.theme_tags());
-        let (_, the) = theme_for_tags(event.theme_tags());
+        let ths = resolve_theme(theme_for_tags(subscription.theme_tags()));
+        let the = resolve_theme(theme_for_tags(event.theme_tags()));
         let (ths, the) = (ths.as_ref(), the.as_ref());
         let best = result.best();
         let predicates = subscription
@@ -453,14 +454,14 @@ impl<M: SemanticMeasure> Matcher for ProbabilisticMatcher<M> {
     }
 
     fn prepare_subscription(&self, subscription: &Subscription) {
-        let (_, theme) = theme_for_tags(subscription.theme_tags());
+        let theme = resolve_theme(theme_for_tags(subscription.theme_tags()));
         for_each_approx_term(subscription, |term| {
             self.measure.prepare_term(term, &theme);
         });
     }
 
     fn release_subscription(&self, subscription: &Subscription) {
-        let (_, theme) = theme_for_tags(subscription.theme_tags());
+        let theme = resolve_theme(theme_for_tags(subscription.theme_tags()));
         for_each_approx_term(subscription, |term| {
             self.measure.release_term(term, &theme);
         });

@@ -134,7 +134,9 @@ impl SimilarityMatrix {
         // interned at most ONCE per match test — and, inside an event
         // scope, once per *event* — and each cell probes the measure with
         // copyable ids (`relatedness_ids`). The old path re-interned all
-        // four symbols — four hash-and-lock round-trips — per cell.
+        // four symbols — four hash-and-lock round-trips — per cell. The
+        // subscription side resolves through the interner's per-thread
+        // fronts: no lock, no refcount, no write to shared memory.
         let any_attr_approx = subscription
             .predicates()
             .iter()
@@ -148,7 +150,7 @@ impl SimilarityMatrix {
         // Purely exact subscriptions never consult the measure, so skip
         // theme resolution entirely on that path.
         let ths_id = if semantic {
-            theme_for_tags(subscription.theme_tags()).0
+            theme_for_tags(subscription.theme_tags())
         } else {
             ThemeId::EMPTY
         };
@@ -168,7 +170,7 @@ impl SimilarityMatrix {
                     // read, mirroring the old per-cell behaviour (e.g.
                     // free-form numeric values stay out of the interner
                     // unless some predicate is value-approximate).
-                    scope.the_id = theme_for_tags(event.theme_tags()).0;
+                    scope.the_id = theme_for_tags(event.theme_tags());
                     for t in event.tuples() {
                         scope.tuple_ids.push((
                             any_attr_approx.then(|| intern_term(t.attribute())),

@@ -55,7 +55,7 @@ pub use measure::{
 };
 pub use projection::ThemeBasis;
 pub use pvsm::{ParametricVectorSpace, PvsmCacheStats};
-pub use shard::{CacheStats, ShardedCache};
+pub use shard::{thread_miss_count, CacheStats, ShardedCache};
 pub use space::DistributionalSpace;
 pub use sparse::SparseVector;
 pub use theme::Theme;

@@ -2,13 +2,13 @@
 
 use crate::intern::{intern_term, intern_theme, resolve_term, resolve_theme, TermId, ThemeId};
 use crate::pvsm::ParametricVectorSpace;
-use crate::shard::{CacheStats, ShardedCache};
+use crate::shard::{thread_miss_count, CacheStats, ShardedCache, StripedCounter};
 use crate::space::DistributionalSpace;
 use crate::theme::Theme;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// A relatedness score together with the geometric evidence behind it,
@@ -115,11 +115,14 @@ pub trait SemanticMeasure: Send + Sync + fmt::Debug {
         CacheStats::default()
     }
 
-    /// The aggregated **miss counter alone**, monotone, sampled on the
-    /// match hot path to attribute latency to cache-warm vs. cache-cold
-    /// work — implementations must keep this to plain atomic loads
-    /// ([`Self::cache_stats`] may walk shard locks to count entries and
-    /// is too heavy to call per match test). Default: 0 (no caches).
+    /// Semantic-cache misses taken **on the calling thread**, monotone:
+    /// the delta across one call says whether that call computed
+    /// anything, which is how the broker labels a match test cache-warm
+    /// or cache-cold. Other threads' misses never move it, and reading it
+    /// touches no shared memory ([`Self::cache_stats`] walks shard locks
+    /// and is too heavy to call per match test). Measures backed by a
+    /// [`ShardedCache`] return [`thread_miss_count`]. Default: 0 (no
+    /// caches).
     fn cache_miss_count(&self) -> u64 {
         0
     }
@@ -263,7 +266,7 @@ impl SemanticMeasure for EsaMeasure {
     }
 
     fn cache_miss_count(&self) -> u64 {
-        self.space.miss_count()
+        thread_miss_count()
     }
 }
 
@@ -331,7 +334,7 @@ impl SemanticMeasure for ThematicEsaMeasure {
     }
 
     fn cache_miss_count(&self) -> u64 {
-        self.pvsm.miss_count()
+        thread_miss_count()
     }
 
     fn relatedness_warm(
@@ -427,8 +430,10 @@ pub struct CachedMeasure<M> {
     /// stale L1 slots die without touching other threads.
     generation: AtomicU32,
     /// Probes answered by the thread-local L1 (they bypass the sharded
-    /// cache's own hit counters).
-    l1_hits: AtomicU64,
+    /// cache's own hit counters). Striped per thread: a shared atomic
+    /// here was written by every worker on every warm probe, and the
+    /// cache-line traffic cost more than the probe itself.
+    l1_hits: StripedCounter,
 }
 
 /// Bound on memoized score pairs.
@@ -441,7 +446,7 @@ impl<M: SemanticMeasure> CachedMeasure<M> {
             inner,
             cache: ShardedCache::new(16, MEASURE_CAPACITY),
             generation: AtomicU32::new(NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)),
-            l1_hits: AtomicU64::new(0),
+            l1_hits: StripedCounter::default(),
         }
     }
 
@@ -475,7 +480,7 @@ impl<M: SemanticMeasure> CachedMeasure<M> {
     /// L1-answered probes count as hits.
     pub fn memo_stats(&self) -> CacheStats {
         let mut stats = self.cache.stats();
-        stats.hits += self.l1_hits.load(Ordering::Relaxed);
+        stats.hits += self.l1_hits.get();
         stats
     }
 }
@@ -513,7 +518,8 @@ impl<M: SemanticMeasure> SemanticMeasure for CachedMeasure<M> {
         theme_e: ThemeId,
     ) -> f64 {
         // The id-keyed fast path: an L1-warm probe is one direct-mapped
-        // array compare on this thread — no locks, no shared counters.
+        // array compare on this thread — no locks, and its hit count
+        // lands on this thread's counter stripe.
         // The canonical key orders by id, exactly as the string path does
         // after interning, so both paths share entries and stay
         // bit-identical; the L1 only ever holds scores the sharded cache
@@ -527,7 +533,7 @@ impl<M: SemanticMeasure> SemanticMeasure for CachedMeasure<M> {
             (slot.generation == generation && slot.key == key).then_some(slot.score)
         });
         if let Some(score) = l1_score {
-            self.l1_hits.fetch_add(1, Ordering::Relaxed);
+            self.l1_hits.incr();
             return score;
         }
         let score = self.cache.get_or_insert_with(&key, || {
@@ -577,7 +583,8 @@ impl<M: SemanticMeasure> SemanticMeasure for CachedMeasure<M> {
     }
 
     fn cache_miss_count(&self) -> u64 {
-        self.cache.miss_count() + self.inner.cache_miss_count()
+        // The thread tally already covers the inner measure's caches.
+        thread_miss_count()
     }
 
     fn relatedness_warm(
@@ -949,6 +956,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn concurrent_warm_probes_count_every_hit_exactly() {
+        // N threads × K warm probes must raise the hit total by exactly
+        // N·K, however the probes spread over the counter's stripes, and
+        // take no miss.
+        const THREADS: u64 = 4;
+        const PROBES: u64 = 10_000;
+        let mut table = PrecomputedMeasure::new(0.0);
+        table.insert("laptop", "computer", 0.9);
+        table.insert("parking", "garage", 0.7);
+        let m = Arc::new(CachedMeasure::new(table));
+        let e = intern_theme(&Theme::empty());
+        let keys = [
+            (intern_term("laptop"), intern_term("computer")),
+            (intern_term("parking"), intern_term("garage")),
+            (intern_term("garage"), intern_term("laptop")),
+        ];
+        for &(a, b) in &keys {
+            m.relatedness_ids(a, e, b, e); // the only misses
+        }
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS as usize + 1));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (m, barrier) = (Arc::clone(&m), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    // Fill this thread's L1 from the shared memo.
+                    for &(a, b) in &keys {
+                        m.relatedness_ids(a, e, b, e);
+                    }
+                    barrier.wait();
+                    barrier.wait(); // the main thread snapshots here
+                    for i in 0..PROBES {
+                        let (a, b) = keys[i as usize % keys.len()];
+                        std::hint::black_box(m.relatedness_ids(a, e, b, e));
+                    }
+                })
+            })
+            .collect();
+        barrier.wait();
+        let before = m.memo_stats();
+        barrier.wait();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let after = m.memo_stats();
+        assert_eq!(after.hits - before.hits, THREADS * PROBES);
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(after.misses, keys.len() as u64);
     }
 
     #[test]

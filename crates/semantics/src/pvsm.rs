@@ -290,14 +290,6 @@ impl ParametricVectorSpace {
         )
     }
 
-    /// Total misses across the three PVSM caches — three relaxed atomic
-    /// loads, no shard locks, cheap enough to sample per match test.
-    pub fn miss_count(&self) -> u64 {
-        self.basis_cache.miss_count()
-            + self.projection_cache.miss_count()
-            + self.normalized_cache.miss_count()
-    }
-
     /// Hit / miss / eviction counters for each PVSM cache.
     pub fn cache_stats(&self) -> PvsmCacheStats {
         PvsmCacheStats {

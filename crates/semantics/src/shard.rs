@@ -17,13 +17,17 @@
 //!   separate per-shard map that rotation never touches.
 //!
 //! Hit / miss / eviction counters are relaxed atomics, cheap enough to
-//! leave on permanently and surfaced through `BrokerStats`.
+//! leave on permanently and surfaced through `BrokerStats`. Every miss
+//! also bumps a plain thread-local tally ([`thread_miss_count`]), so a
+//! thread can tell whether *its own* call missed without reading a
+//! counter that other threads write.
 
 use crate::fxhash::{fx_hash64, FxBuildHasher};
 use parking_lot::RwLock;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 type FxMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
@@ -64,6 +68,61 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+}
+
+/// Stripes in a [`StripedCounter`].
+const STRIPES: usize = 16;
+
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The calling thread's stripe, drawn round-robin on its first count,
+    /// so the first [`STRIPES`] counting threads never share one.
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    /// Misses taken by every [`ShardedCache`] on this thread.
+    static THREAD_MISSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One counter stripe, alone on its cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
+/// A statistics counter striped per thread: each thread adds to its own
+/// 64-byte-padded stripe, so concurrent writers never move a cache line
+/// between cores, and [`StripedCounter::get`] sums the stripes. Totals are
+/// exact (every add is an atomic add); only the layout is per thread.
+#[derive(Debug, Default)]
+pub(crate) struct StripedCounter {
+    stripes: [Stripe; STRIPES],
+}
+
+impl StripedCounter {
+    /// Adds one on the calling thread's stripe.
+    pub(crate) fn incr(&self) {
+        let stripe = STRIPE.with(|s| *s);
+        self.stripes[stripe].0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The sum over all stripes.
+    pub(crate) fn get(&self) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+/// Semantic-cache misses taken **on the calling thread**, summed over
+/// every [`ShardedCache`] in the process; monotone per thread.
+///
+/// This is what a thread samples around one of its own calls to learn
+/// whether that call missed (the broker's cache-temperature stage label):
+/// a plain thread-local read, so misses on other threads can neither
+/// relabel the call nor make the probe touch a shared cache line. The
+/// process-wide totals stay in [`ShardedCache::stats`].
+pub fn thread_miss_count() -> u64 {
+    THREAD_MISSES.with(Cell::get)
 }
 
 struct ShardInner<K, V> {
@@ -127,6 +186,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         }
     }
 
+    fn count_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        THREAD_MISSES.with(|m| m.set(m.get() + 1));
+    }
+
     fn shard(&self, key: &K) -> &RwLock<ShardInner<K, V>> {
         // Select the shard from the *high* word: the shard's inner maps use
         // the same hash function and index buckets by the low bits, so
@@ -150,7 +214,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                 return Some(v.clone());
             }
             if !inner.previous.contains_key(key) {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.count_miss();
                 return None;
             }
         }
@@ -169,7 +233,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                 Some(v)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.count_miss();
                 None
             }
         }
@@ -299,15 +363,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             inner.previous.clear();
             inner.pinned.clear();
         }
-    }
-
-    /// The miss counter alone — a single relaxed atomic load, no shard
-    /// locks. Cheap enough to sample around an individual match test,
-    /// which is how the broker attributes match latency to cache-warm
-    /// vs. cache-cold paths ([`Self::stats`] walks every shard to count
-    /// entries and is far too heavy for that).
-    pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Counter + occupancy snapshot.
@@ -467,6 +522,61 @@ mod tests {
         assert_eq!(stats.misses, stats.entries + stats.evictions);
         assert!(stats.evictions > 0, "capacity 128 must rotate: {stats:?}");
         assert!(stats.hits > 0, "promoted entries must re-hit: {stats:?}");
+    }
+
+    #[test]
+    fn thread_miss_count_sees_only_the_calling_threads_misses() {
+        // The quiet thread samples its tally across a window in which
+        // the other thread takes 100 misses on a cache both share: its
+        // delta must stay zero, the missing thread's must be exactly 100,
+        // and the shared totals must still count every miss.
+        let cache: Arc<ShardedCache<u32, u32>> = Arc::new(ShardedCache::new(4, 1024));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let quiet = {
+            let (cache, barrier) = (Arc::clone(&cache), Arc::clone(&barrier));
+            thread::spawn(move || {
+                assert_eq!(cache.get_or_insert_with(&u32::MAX, || 0), 0);
+                let before = thread_miss_count();
+                barrier.wait(); // the other thread misses now
+                barrier.wait();
+                assert_eq!(cache.get(&u32::MAX), Some(0), "a hit is not a miss");
+                thread_miss_count() - before
+            })
+        };
+        let missing = {
+            let (cache, barrier) = (Arc::clone(&cache), Arc::clone(&barrier));
+            thread::spawn(move || {
+                barrier.wait();
+                let before = thread_miss_count();
+                for k in 0..100 {
+                    cache.get_or_insert_with(&k, || k);
+                }
+                let delta = thread_miss_count() - before;
+                barrier.wait();
+                delta
+            })
+        };
+        assert_eq!(quiet.join().unwrap(), 0);
+        assert_eq!(missing.join().unwrap(), 100);
+        assert_eq!(cache.stats().misses, 101);
+    }
+
+    #[test]
+    fn striped_counter_totals_are_exact_across_threads() {
+        const THREADS: u64 = 20; // more threads than stripes: some share
+        const ADDS: u64 = 5_000;
+        let counter = Arc::new(StripedCounter::default());
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let counter = Arc::clone(&counter);
+                thread::spawn(move || (0..ADDS).for_each(|_| counter.incr()))
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(counter.get(), THREADS * ADDS);
+        assert_eq!(std::mem::align_of::<Stripe>(), 64);
     }
 
     #[test]

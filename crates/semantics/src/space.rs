@@ -139,12 +139,6 @@ impl DistributionalSpace {
         self.normalized_cache.stats()
     }
 
-    /// The term-vector cache's miss counter alone (one relaxed atomic
-    /// load; no shard locks).
-    pub fn miss_count(&self) -> u64 {
-        self.normalized_cache.miss_count()
-    }
-
     /// The query tokenizer.
     pub fn tokenizer(&self) -> &Tokenizer {
         &self.tokenizer

@@ -133,6 +133,57 @@ fn thematic_match_tests_split_by_cache_temperature() {
     b.shutdown();
 }
 
+/// Each of the three stage labels, forced: an exact subscription's test
+/// is `Exact`; an approximate one's first sighting of the event vocabulary
+/// misses the semantic caches (`ThematicCold`); the same event again is
+/// served warm (`CacheWarm`). With one worker and the miss count sampled
+/// per thread, every count is exact.
+#[test]
+fn each_stage_label_is_forced_exactly() {
+    let corpus = Corpus::generate(&CorpusConfig::small());
+    let pvsm = Arc::new(ParametricVectorSpace::new(DistributionalSpace::new(
+        InvertedIndex::build(&corpus),
+    )));
+    let matcher = ProbabilisticMatcher::new(
+        tep::semantics::CachedMeasure::new(ThematicEsaMeasure::new(pvsm)),
+        MatcherConfig::top1(),
+    );
+    let b = Broker::start(Arc::new(matcher), BrokerConfig::default().with_workers(1));
+    let (_, _exact) = b
+        .subscribe(parse_subscription("({energy policy}, {device= computer})").unwrap())
+        .unwrap();
+    let (_, _approx) = b
+        .subscribe(
+            parse_subscription("({energy policy}, {type~= increased energy usage event~})")
+                .unwrap(),
+        )
+        .unwrap();
+    let event = parse_event(
+        "({energy policy}, {type: increased energy consumption event, device: computer})",
+    )
+    .unwrap();
+    let counts = |b: &Broker| {
+        let s = b.stage_latencies();
+        (
+            s.match_exact.count(),
+            s.match_thematic.count(),
+            s.match_cached.count(),
+        )
+    };
+
+    b.publish(event.clone()).unwrap();
+    b.flush().unwrap();
+    assert_eq!(counts(&b), (1, 1, 0), "first sighting: exact + cold");
+
+    for _ in 0..3 {
+        b.publish(event.clone()).unwrap();
+    }
+    b.flush().unwrap();
+    assert_eq!(counts(&b), (4, 1, 3), "repeats: exact + warm");
+    assert_eq!(b.stats().match_tests, 8);
+    b.shutdown();
+}
+
 /// The Prometheus text export carries every broker counter plus the
 /// cumulative stage histograms; the JSON export parses and reports the
 /// same counts.
