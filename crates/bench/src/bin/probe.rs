@@ -25,6 +25,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 use tep::prelude::{render_explanations_json, render_quality_json, serve, Broker, ScrapeHandlers};
 use tep::thesaurus::{Domain, Thesaurus};
+use tep_bench::costgate::CostGateConfig;
 use tep_bench::gate::{GateConfig, QualityGateConfig, SubindexGateConfig};
 use tep_bench::obsgate::ObsGateConfig;
 use tep_eval::{run_sub_experiment, EvalConfig, MatcherStack, ThemeCombination, Workload};
@@ -57,10 +58,6 @@ fn main() {
         }
         Some("cost-gate") => {
             cost_gate();
-            return;
-        }
-        Some("partition-plan") => {
-            partition_plan();
             return;
         }
         _ => {}
@@ -358,6 +355,16 @@ fn bench_throughput() {
     drop(server);
 }
 
+/// Overrides a gate threshold from the environment variable `name` when
+/// it is set; a value that does not parse aborts the run.
+fn env_override<T: std::str::FromStr>(name: &str, value: &mut T) {
+    if let Ok(raw) = std::env::var(name) {
+        *value = raw
+            .parse()
+            .unwrap_or_else(|_| panic!("{name} must parse as {}", std::any::type_name::<T>()));
+    }
+}
+
 /// Perf-regression gate: compares a fresh throughput document against the
 /// committed baseline (run with
 /// `probe perf-gate [--baseline PATH] [--current PATH]`). Exits 1 on any
@@ -383,17 +390,9 @@ fn perf_gate() {
         (baseline, current)
     };
     let mut cfg = GateConfig::default();
-    if let Ok(v) = std::env::var("PERF_GATE_MAX_DROP") {
-        cfg.max_drop = v.parse().expect("PERF_GATE_MAX_DROP must be a float");
-    }
-    if let Ok(v) = std::env::var("PERF_GATE_MAX_P99_GROWTH") {
-        cfg.max_p99_growth = v.parse().expect("PERF_GATE_MAX_P99_GROWTH must be a float");
-    }
-    if let Ok(v) = std::env::var("PERF_GATE_MAX_QW_P50_NS") {
-        cfg.max_queue_wait_p50_ns = v
-            .parse()
-            .expect("PERF_GATE_MAX_QW_P50_NS must be an integer (0 disables)");
-    }
+    env_override("PERF_GATE_MAX_DROP", &mut cfg.max_drop);
+    env_override("PERF_GATE_MAX_P99_GROWTH", &mut cfg.max_p99_growth);
+    env_override("PERF_GATE_MAX_QW_P50_NS", &mut cfg.max_queue_wait_p50_ns);
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("perf gate: cannot read {path}: {e}");
@@ -444,12 +443,8 @@ fn subindex_gate() {
         (baseline, current)
     };
     let mut cfg = SubindexGateConfig::default();
-    if let Ok(v) = std::env::var("SUBINDEX_GATE_MAX_DROP") {
-        cfg.max_drop = v.parse().expect("SUBINDEX_GATE_MAX_DROP must be a float");
-    }
-    if let Ok(v) = std::env::var("SUBINDEX_GATE_MIN_RATIO") {
-        cfg.min_ratio = v.parse().expect("SUBINDEX_GATE_MIN_RATIO must be a float");
-    }
+    env_override("SUBINDEX_GATE_MAX_DROP", &mut cfg.max_drop);
+    env_override("SUBINDEX_GATE_MIN_RATIO", &mut cfg.min_ratio);
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("subindex gate: cannot read {path}: {e}");
@@ -510,17 +505,9 @@ fn obs_gate() {
         (out, bundle)
     };
     let mut cfg = ObsGateConfig::default();
-    if let Ok(v) = std::env::var("OBS_GATE_MAX_OVERHEAD") {
-        cfg.max_overhead = v.parse().expect("OBS_GATE_MAX_OVERHEAD must be a float");
-    }
-    if let Ok(v) = std::env::var("OBS_GATE_MAX_STEADY_ALLOCS") {
-        cfg.max_steady_allocs = v
-            .parse()
-            .expect("OBS_GATE_MAX_STEADY_ALLOCS must be an integer");
-    }
-    if let Ok(v) = std::env::var("OBS_GATE_TRIALS") {
-        cfg.trials = v.parse().expect("OBS_GATE_TRIALS must be an integer");
-    }
+    env_override("OBS_GATE_MAX_OVERHEAD", &mut cfg.max_overhead);
+    env_override("OBS_GATE_MAX_STEADY_ALLOCS", &mut cfg.max_steady_allocs);
+    env_override("OBS_GATE_TRIALS", &mut cfg.trials);
     // The chaos check panics a worker on purpose; keep its backtrace out
     // of the gate output.
     std::panic::set_hook(Box::new(|_| {}));
@@ -550,55 +537,34 @@ fn obs_gate() {
 /// Cost-attribution gate: proves the sampling profiler stays within the
 /// throughput-overhead budget, allocates nothing at steady state, and
 /// reconciles against the stage histograms (run with
-/// `probe cost-gate [--baseline PATH] [--out PATH]`). Thresholds come
-/// from the committed `ci/cost_baseline.json`; `COST_GATE_MAX_OVERHEAD`,
+/// `probe cost-gate [--out PATH]`). Thresholds are
+/// `CostGateConfig::default()`; `COST_GATE_MAX_OVERHEAD`,
 /// `COST_GATE_MAX_EXTRA_ALLOCS`, `COST_GATE_MAX_RECONCILE_ERROR`, and
 /// `COST_GATE_TRIALS` override them for noisy runners. Exits 1 on any
 /// violation.
 fn cost_gate() {
-    let (baseline, out) = {
+    let out = {
         let mut it = std::env::args().skip(2);
-        let mut baseline = String::from("ci/cost_baseline.json");
         let mut out = String::from("BENCH_costs.json");
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--baseline" => baseline = it.next().expect("--baseline needs a value"),
                 "--out" => out = it.next().expect("--out needs a value"),
                 other => {
-                    eprintln!(
-                        "usage: probe cost-gate [--baseline PATH] [--out PATH] \
-                         (unknown arg {other:?})"
-                    );
+                    eprintln!("usage: probe cost-gate [--out PATH] (unknown arg {other:?})");
                     std::process::exit(2);
                 }
             }
         }
-        (baseline, out)
+        out
     };
-    let doc = std::fs::read_to_string(&baseline).unwrap_or_else(|e| {
-        eprintln!("cost gate: cannot read {baseline}: {e}");
-        std::process::exit(1);
-    });
-    let mut cfg = tep_bench::costgate::config_from_json(&doc).unwrap_or_else(|e| {
-        eprintln!("cost gate: {baseline}: {e}");
-        std::process::exit(1);
-    });
-    if let Ok(v) = std::env::var("COST_GATE_MAX_OVERHEAD") {
-        cfg.max_overhead = v.parse().expect("COST_GATE_MAX_OVERHEAD must be a float");
-    }
-    if let Ok(v) = std::env::var("COST_GATE_MAX_EXTRA_ALLOCS") {
-        cfg.max_extra_allocs = v
-            .parse()
-            .expect("COST_GATE_MAX_EXTRA_ALLOCS must be an integer");
-    }
-    if let Ok(v) = std::env::var("COST_GATE_MAX_RECONCILE_ERROR") {
-        cfg.max_reconcile_error = v
-            .parse()
-            .expect("COST_GATE_MAX_RECONCILE_ERROR must be a float");
-    }
-    if let Ok(v) = std::env::var("COST_GATE_TRIALS") {
-        cfg.trials = v.parse().expect("COST_GATE_TRIALS must be an integer");
-    }
+    let mut cfg = CostGateConfig::default();
+    env_override("COST_GATE_MAX_OVERHEAD", &mut cfg.max_overhead);
+    env_override("COST_GATE_MAX_EXTRA_ALLOCS", &mut cfg.max_extra_allocs);
+    env_override(
+        "COST_GATE_MAX_RECONCILE_ERROR",
+        &mut cfg.max_reconcile_error,
+    );
+    env_override("COST_GATE_TRIALS", &mut cfg.trials);
     let result = tep_bench::costgate::run_cost_gate(&cfg);
     println!("{}", result.summary());
     std::fs::write(&out, result.render_json()).expect("write cost-gate JSON");
@@ -607,108 +573,6 @@ fn cost_gate() {
         eprintln!("cost gate: {v}");
     }
     if !result.passed() {
-        std::process::exit(1);
-    }
-}
-
-/// Data-driven partition planner: runs a skewed themed workload with
-/// full (k = 1) cost attribution, feeds the measured per-theme cost
-/// table into the LPT packer, and writes the N-way theme-partition map
-/// (run with `probe partition-plan [--parts N] [--out PATH]`). Exits 1
-/// when no cost was measured or the plan violates its own LPT
-/// certificate.
-fn partition_plan() {
-    use tep::prelude::{parse_event, parse_subscription, BrokerConfig, ExactMatcher};
-    let (parts, out) = {
-        let mut it = std::env::args().skip(2);
-        let mut parts = 4usize;
-        let mut out = String::from("BENCH_partition_plan.json");
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--parts" => {
-                    parts = it
-                        .next()
-                        .expect("--parts needs a value")
-                        .parse()
-                        .expect("--parts must be an integer");
-                }
-                "--out" => out = it.next().expect("--out needs a value"),
-                other => {
-                    eprintln!(
-                        "usage: probe partition-plan [--parts N] [--out PATH] \
-                         (unknown arg {other:?})"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        (parts, out)
-    };
-    // A deliberately skewed synthetic workload: theme i carries i+1
-    // subscribers and (i+1)² publishes, so measured cost — not theme
-    // count — is what the planner has to balance.
-    const THEMES: [&str; 8] = [
-        "energy policy",
-        "power generation",
-        "building energy",
-        "road transport",
-        "air traffic",
-        "water supply",
-        "waste management",
-        "public safety",
-    ];
-    let config = BrokerConfig::default()
-        .with_workers(2)
-        .with_cost_attribution(1);
-    let broker = Broker::start(Arc::new(ExactMatcher::new()), config);
-    let mut receivers = Vec::new();
-    for (i, theme) in THEMES.iter().enumerate() {
-        for _ in 0..=i {
-            let sub = parse_subscription(&format!("({{{theme}}}, {{kind= t{i}}})"))
-                .expect("synthetic subscription");
-            receivers.push(broker.subscribe(sub).expect("subscribe").1);
-        }
-    }
-    for (i, theme) in THEMES.iter().enumerate() {
-        let event =
-            parse_event(&format!("({{{theme}}}, {{kind: t{i}}})")).expect("synthetic event");
-        let event = Arc::new(event);
-        for _ in 0..(i + 1) * (i + 1) {
-            broker.publish_arc(Arc::clone(&event)).expect("publish");
-        }
-    }
-    broker
-        .flush_timeout(Duration::from_secs(120))
-        .expect("flush");
-    let themes: Vec<(String, u64)> = broker
-        .costs()
-        .themes
-        .iter()
-        .map(|t| (t.label.clone(), t.total_ns()))
-        .collect();
-    for rx in &receivers {
-        while rx.try_recv().is_ok() {}
-    }
-    broker.close();
-    if themes.is_empty() {
-        eprintln!("partition plan: the workload measured no per-theme cost");
-        std::process::exit(1);
-    }
-    let plan = tep_bench::partition::plan_partitions(&themes, parts);
-    println!("{}", plan.summary());
-    for bin in &plan.bins {
-        let names: Vec<&str> = bin.themes.iter().map(|(n, _)| n.as_str()).collect();
-        println!(
-            "  part {}: {:>12} ns  [{}]",
-            bin.part,
-            bin.total_ns,
-            names.join(", ")
-        );
-    }
-    std::fs::write(&out, plan.render_json()).expect("write partition plan");
-    println!("wrote {out}");
-    if !plan.within_bound {
-        eprintln!("partition plan: heaviest shard violates the LPT certificate");
         std::process::exit(1);
     }
 }
@@ -738,14 +602,8 @@ fn quality_gate() {
         (baseline, current)
     };
     let mut cfg = QualityGateConfig::default();
-    if let Ok(v) = std::env::var("QUALITY_GATE_MAX_F1_DROP") {
-        cfg.max_f1_drop = v.parse().expect("QUALITY_GATE_MAX_F1_DROP must be a float");
-    }
-    if let Ok(v) = std::env::var("QUALITY_GATE_MIN_SAMPLES") {
-        cfg.min_samples = v
-            .parse()
-            .expect("QUALITY_GATE_MIN_SAMPLES must be an integer");
-    }
+    env_override("QUALITY_GATE_MAX_F1_DROP", &mut cfg.max_f1_drop);
+    env_override("QUALITY_GATE_MIN_SAMPLES", &mut cfg.min_samples);
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("quality gate: cannot read {path}: {e}");

@@ -17,22 +17,20 @@
 //!   match those sums *exactly* (the charge reuses the very nanosecond
 //!   figure the histogram recorded).
 //!
-//! Thresholds come from the committed `ci/cost_baseline.json` (see
-//! [`config_from_json`]) with `COST_GATE_*` environment overrides for
-//! noisy runners. The result renders as `BENCH_costs.json`.
+//! Thresholds are [`CostGateConfig::default`], with `COST_GATE_*`
+//! environment overrides for noisy runners. The A/B and allocation loops
+//! come from [`crate::harness`]. The result renders as `BENCH_costs.json`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use serde::value_get;
-use serde_json::JsonValue;
-use tep::prelude::{
-    Broker, BrokerConfig, Event, ExactMatcher, Subscription, DEFAULT_COST_SAMPLE_EVERY,
+use serde::Serialize;
+use tep::prelude::{BrokerConfig, Event, Subscription, DEFAULT_COST_SAMPLE_EVERY};
+
+use crate::harness::{
+    bench_workers, gate_workload, interleaved_ab, lowest_of_passes, measure_throughput,
+    publish_paced, publish_round, steady_allocs, Rig,
 };
-use tep_eval::{EvalConfig, Workload};
 
-const FLUSH_DEADLINE: Duration = Duration::from_secs(120);
-const PUBLISH_BURST: usize = 128;
 /// Publish rounds in the steady-state allocation loop.
 const STEADY_ROUNDS: usize = 32;
 /// Publish rounds in the reconciliation runs.
@@ -71,55 +69,6 @@ impl Default for CostGateConfig {
             sample_every: DEFAULT_COST_SAMPLE_EVERY,
         }
     }
-}
-
-/// Parses the committed threshold document (`ci/cost_baseline.json`).
-/// Unknown keys are ignored; missing keys keep their defaults, so the
-/// baseline only has to pin what it cares about.
-///
-/// # Errors
-///
-/// A human-readable message when the document is not a JSON object or a
-/// present key has the wrong type.
-pub fn config_from_json(doc: &str) -> Result<CostGateConfig, String> {
-    let parsed: JsonValue =
-        serde_json::from_str(doc).map_err(|e| format!("baseline is not valid JSON: {e:?}"))?;
-    let entries = parsed
-        .as_map()
-        .ok_or_else(|| String::from("baseline is not a JSON object"))?;
-    let mut cfg = CostGateConfig::default();
-    let float = |key: &str, into: &mut f64| -> Result<(), String> {
-        if let Some(v) = value_get(entries, key) {
-            *into = v
-                .as_f64()
-                .ok_or_else(|| format!("baseline key {key:?} must be a number"))?;
-        }
-        Ok(())
-    };
-    float("max_overhead", &mut cfg.max_overhead)?;
-    float("max_reconcile_error", &mut cfg.max_reconcile_error)?;
-    let int = |key: &str| -> Result<Option<u64>, String> {
-        match value_get(entries, key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("baseline key {key:?} must be an integer")),
-        }
-    };
-    if let Some(v) = int("max_extra_allocs")? {
-        cfg.max_extra_allocs = v;
-    }
-    if let Some(v) = int("trials")? {
-        cfg.trials = v as usize;
-    }
-    if let Some(v) = int("rounds")? {
-        cfg.rounds = v as usize;
-    }
-    if let Some(v) = int("sample_every")? {
-        cfg.sample_every = v.max(1);
-    }
-    Ok(cfg)
 }
 
 /// The outcome of one cost-gate run.
@@ -179,100 +128,57 @@ impl CostGateResult {
         )
     }
 
-    /// The machine-readable `BENCH_costs.json` document.
+    /// The machine-readable `BENCH_costs.json` document. A reconcile
+    /// error that is not finite (a stage sum of zero) renders as `null`;
+    /// its violation is still listed.
     pub fn render_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\n");
-        let _ = writeln!(
-            out,
-            "  \"baseline_events_per_sec\": {:.1},",
-            self.baseline_events_per_sec
-        );
-        let _ = writeln!(
-            out,
-            "  \"cost_events_per_sec\": {:.1},",
-            self.cost_events_per_sec
-        );
-        let _ = writeln!(out, "  \"overhead\": {:.6},", self.overhead);
-        let _ = writeln!(out, "  \"sample_every\": {},", self.sample_every);
-        let _ = writeln!(out, "  \"steady_allocs_off\": {},", self.steady_allocs_off);
-        let _ = writeln!(out, "  \"steady_allocs_on\": {},", self.steady_allocs_on);
-        let _ = writeln!(out, "  \"extra_allocs\": {},", self.extra_allocs());
-        let _ = writeln!(out, "  \"samples\": {},", self.samples);
-        let _ = writeln!(
-            out,
-            "  \"reconcile_error_match\": {:.6},",
-            self.reconcile_error_match
-        );
-        let _ = writeln!(
-            out,
-            "  \"reconcile_error_deliver\": {:.6},",
-            self.reconcile_error_deliver
-        );
-        let _ = writeln!(out, "  \"k1_exact\": {},", self.k1_exact);
-        out.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(&v.replace('\\', "\\\\").replace('"', "\\\""));
-            out.push('"');
-        }
-        out.push_str("],\n");
-        let _ = write!(out, "  \"passed\": {}\n}}\n", self.passed());
-        out
+        let finite = |x: f64| x.is_finite().then_some(x);
+        let report = CostGateReport {
+            baseline_events_per_sec: self.baseline_events_per_sec,
+            cost_events_per_sec: self.cost_events_per_sec,
+            overhead: self.overhead,
+            sample_every: self.sample_every,
+            steady_allocs_off: self.steady_allocs_off,
+            steady_allocs_on: self.steady_allocs_on,
+            extra_allocs: self.extra_allocs(),
+            samples: self.samples,
+            reconcile_error_match: finite(self.reconcile_error_match),
+            reconcile_error_deliver: finite(self.reconcile_error_deliver),
+            k1_exact: self.k1_exact,
+            violations: self.violations.clone(),
+            passed: self.passed(),
+        };
+        serde_json::to_string_pretty(&report).expect("cost-gate figures are finite") + "\n"
     }
 }
 
-fn bench_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(2)
-        .min(2)
+/// The `BENCH_costs.json` document.
+#[derive(Serialize)]
+struct CostGateReport {
+    baseline_events_per_sec: f64,
+    cost_events_per_sec: f64,
+    overhead: f64,
+    sample_every: u64,
+    steady_allocs_off: u64,
+    steady_allocs_on: u64,
+    extra_allocs: u64,
+    samples: u64,
+    reconcile_error_match: Option<f64>,
+    reconcile_error_deliver: Option<f64>,
+    k1_exact: bool,
+    violations: Vec<String>,
+    passed: bool,
 }
 
-fn start_broker(every: u64) -> Broker {
-    let mut config = BrokerConfig::default().with_workers(bench_workers());
+/// The gate's broker configuration; `every` = 0 runs with attribution
+/// off.
+fn gate_config(every: u64) -> BrokerConfig {
+    let config = BrokerConfig::default().with_workers(bench_workers());
     if every > 0 {
-        config = config.with_cost_attribution(every);
+        config.with_cost_attribution(every)
+    } else {
+        config
     }
-    Broker::start(Arc::new(ExactMatcher::new()), config)
-}
-
-/// One `seed_exact_broadcast`-shaped measurement; returns events/sec.
-/// `every` = 0 runs with attribution off.
-fn measure_throughput(
-    subs: &[Subscription],
-    events: &[Arc<Event>],
-    rounds: usize,
-    every: u64,
-) -> f64 {
-    let broker = start_broker(every);
-    let receivers: Vec<_> = subs
-        .iter()
-        .map(|s| broker.subscribe(s.clone()).expect("subscribe").1)
-        .collect();
-    // Untimed warm-up round, same rationale as the throughput scenarios.
-    for e in events {
-        broker.publish_arc(Arc::clone(e)).expect("publish");
-    }
-    broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
-    let start = Instant::now();
-    for _ in 0..rounds {
-        for burst in events.chunks(PUBLISH_BURST) {
-            for e in burst {
-                broker.publish_arc(Arc::clone(e)).expect("publish");
-            }
-            broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    for rx in &receivers {
-        while rx.try_recv().is_ok() {}
-    }
-    broker.close();
-    (events.len() * rounds) as f64 / elapsed
 }
 
 /// Allocation count across a steady publish loop. `every` = 1 charges
@@ -280,35 +186,14 @@ fn measure_throughput(
 /// rounds grow the tables, sketches, and label families to their
 /// steady-state footprint first.
 fn measure_steady_allocs(subs: &[Subscription], events: &[Arc<Event>], every: u64) -> u64 {
-    let broker = start_broker(every);
-    let receivers: Vec<_> = subs
-        .iter()
-        .map(|s| broker.subscribe(s.clone()).expect("subscribe").1)
-        .collect();
-    for _ in 0..2 {
-        for e in events {
-            broker.publish_arc(Arc::clone(e)).expect("publish");
+    let warm = |rig: &Rig| {
+        for _ in 0..2 {
+            publish_round(&rig.broker, events);
+            rig.drain();
         }
-        broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
-        for rx in &receivers {
-            while rx.try_recv().is_ok() {}
-        }
-    }
-    let before = crate::alloc::allocation_count();
-    for _ in 0..STEADY_ROUNDS {
-        for burst in events.chunks(PUBLISH_BURST) {
-            for e in burst {
-                broker.publish_arc(Arc::clone(e)).expect("publish");
-            }
-            broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
-        }
-    }
-    let allocs = crate::alloc::allocation_count().saturating_sub(before);
-    for rx in &receivers {
-        while rx.try_recv().is_ok() {}
-    }
-    broker.close();
-    allocs
+    };
+    let window = |rig: &Rig| publish_paced(&rig.broker, events, STEADY_ROUNDS);
+    steady_allocs(gate_config(every), subs, warm, window).0
 }
 
 /// Runs a full workload at 1-in-`every` and compares attributed totals
@@ -322,21 +207,10 @@ fn measure_reconciliation(
     rounds: usize,
     every: u64,
 ) -> (f64, f64, u64, bool) {
-    let broker = start_broker(every);
-    let receivers: Vec<_> = subs
-        .iter()
-        .map(|s| broker.subscribe(s.clone()).expect("subscribe").1)
-        .collect();
-    for _ in 0..rounds {
-        for burst in events.chunks(PUBLISH_BURST) {
-            for e in burst {
-                broker.publish_arc(Arc::clone(e)).expect("publish");
-            }
-            broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
-        }
-    }
-    let report = broker.costs();
-    let stages = broker.stage_latencies();
+    let rig = Rig::start(gate_config(every), subs);
+    publish_paced(&rig.broker, events, rounds);
+    let report = rig.broker.costs();
+    let stages = rig.broker.stage_latencies();
     let match_ns = stages.match_exact.sum().as_nanos() as u64
         + stages.match_thematic.sum().as_nanos() as u64
         + stages.match_cached.sum().as_nanos() as u64;
@@ -351,53 +225,17 @@ fn measure_reconciliation(
     let err_deliver = rel_err(report.estimated_deliver_ns(), deliver_ns);
     let exact =
         report.estimated_match_ns() == match_ns && report.estimated_deliver_ns() == deliver_ns;
-    for rx in &receivers {
-        while rx.try_recv().is_ok() {}
-    }
-    broker.close();
     (err_match, err_deliver, report.samples, exact)
 }
 
 /// Runs the full cost gate; see the module docs for the checks.
 pub fn run_cost_gate(cfg: &CostGateConfig) -> CostGateResult {
-    let eval = EvalConfig::tiny();
-    let workload = Workload::generate(&eval);
-    let events: Vec<Arc<Event>> = workload
-        .events()
-        .iter()
-        .take(128)
-        .cloned()
-        .map(Arc::new)
-        .collect();
-    let subs: Vec<Subscription> = workload.subscriptions().iter().take(8).cloned().collect();
+    let (subs, events) = gate_workload();
     let every = cfg.sample_every.max(1);
-
-    // Interleave the sides so drift (thermal, competing load) hits both
-    // equally; best-of-N per side is the stable point estimate. The gate
-    // bounds attribution's true cost from above, so a comparison still
-    // over the ceiling is re-measured (up to two more passes) and the
-    // lowest observed overhead kept: any clean window suffices, one
-    // noisy window cannot fail the run.
-    let mut best_off = 0.0f64;
-    let mut best_on = 0.0f64;
-    let mut overhead = f64::INFINITY;
-    for _attempt in 0..3 {
-        let mut off = 0.0f64;
-        let mut on = 0.0f64;
-        for _ in 0..cfg.trials.max(1) {
-            off = off.max(measure_throughput(&subs, &events, cfg.rounds, 0));
-            on = on.max(measure_throughput(&subs, &events, cfg.rounds, every));
-        }
-        let pass_overhead = 1.0 - on / off.max(1e-9);
-        if pass_overhead < overhead {
-            overhead = pass_overhead;
-            best_off = off;
-            best_on = on;
-        }
-        if overhead <= cfg.max_overhead {
-            break;
-        }
-    }
+    let ab = interleaved_ab(cfg.trials, cfg.max_overhead, |on| {
+        let config = gate_config(if on { every } else { 0 });
+        measure_throughput(config, &subs, &events, cfg.rounds)
+    });
 
     let steady_allocs_off = measure_steady_allocs(&subs, &events, 0);
     let steady_allocs_on = measure_steady_allocs(&subs, &events, 1);
@@ -406,29 +244,21 @@ pub fn run_cost_gate(cfg: &CostGateConfig) -> CostGateResult {
     // luck of the tail. The estimator is unbiased (k = 1 is exact, checked
     // below); one in-tolerance window proves it, so keep the best of up
     // to three.
-    let mut err_match = f64::INFINITY;
-    let mut err_deliver = f64::INFINITY;
-    let mut samples = 0;
-    for _attempt in 0..3 {
+    let (_, (err_match, err_deliver, samples)) = lowest_of_passes(cfg.max_reconcile_error, || {
         let (m, d, s, _) = measure_reconciliation(&subs, &events, RECONCILE_ROUNDS, every);
-        if m.max(d) < err_match.max(err_deliver) {
-            err_match = m;
-            err_deliver = d;
-            samples = s;
-        }
-        if err_match.max(err_deliver) <= cfg.max_reconcile_error {
-            break;
-        }
-    }
+        (m.max(d), (m, d, s))
+    });
     let (_, _, _, k1_exact) = measure_reconciliation(&subs, &events, STEADY_ROUNDS, 1);
 
     let mut violations = Vec::new();
-    if overhead > cfg.max_overhead {
+    if ab.overhead > cfg.max_overhead {
         violations.push(format!(
             "cost-attribution overhead {:.2}% exceeds the {:.2}% ceiling \
-             ({best_on:.0} ev/s on vs {best_off:.0} ev/s off)",
-            overhead * 100.0,
+             ({:.0} ev/s on vs {:.0} ev/s off)",
+            ab.overhead * 100.0,
             cfg.max_overhead * 100.0,
+            ab.on,
+            ab.off,
         ));
     }
     let extra = steady_allocs_on.saturating_sub(steady_allocs_off);
@@ -465,9 +295,9 @@ pub fn run_cost_gate(cfg: &CostGateConfig) -> CostGateResult {
     }
 
     CostGateResult {
-        baseline_events_per_sec: best_off,
-        cost_events_per_sec: best_on,
-        overhead,
+        baseline_events_per_sec: ab.off,
+        cost_events_per_sec: ab.on,
+        overhead: ab.overhead,
         steady_allocs_off,
         steady_allocs_on,
         sample_every: every,
@@ -482,10 +312,11 @@ pub fn run_cost_gate(cfg: &CostGateConfig) -> CostGateResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::value_get;
+    use serde_json::JsonValue;
 
-    #[test]
-    fn render_json_is_parseable() {
-        let result = CostGateResult {
+    fn sample() -> CostGateResult {
+        CostGateResult {
             baseline_events_per_sec: 100_000.0,
             cost_events_per_sec: 99_700.0,
             overhead: 0.003,
@@ -497,9 +328,32 @@ mod tests {
             reconcile_error_deliver: 0.06,
             k1_exact: true,
             violations: vec![String::from("said \"so\"")],
-        };
-        let parsed: JsonValue = serde_json::from_str(&result.render_json()).expect("valid JSON");
+        }
+    }
+
+    #[test]
+    fn render_json_is_parseable() {
+        let parsed: JsonValue = serde_json::from_str(&sample().render_json()).expect("valid JSON");
         let entries = parsed.as_map().expect("object");
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "baseline_events_per_sec",
+                "cost_events_per_sec",
+                "overhead",
+                "sample_every",
+                "steady_allocs_off",
+                "steady_allocs_on",
+                "extra_allocs",
+                "samples",
+                "reconcile_error_match",
+                "reconcile_error_deliver",
+                "k1_exact",
+                "violations",
+                "passed",
+            ]
+        );
         assert_eq!(
             value_get(entries, "passed").and_then(JsonValue::as_bool),
             Some(false)
@@ -512,43 +366,45 @@ mod tests {
             value_get(entries, "k1_exact").and_then(JsonValue::as_bool),
             Some(true)
         );
-    }
-
-    #[test]
-    fn config_from_json_overrides_only_present_keys() {
-        let cfg =
-            config_from_json("{\"max_overhead\": 0.05, \"sample_every\": 32, \"ignored\": true}")
-                .expect("valid baseline");
-        assert!((cfg.max_overhead - 0.05).abs() < 1e-12);
-        assert_eq!(cfg.sample_every, 32);
-        // Untouched keys keep their defaults.
         assert_eq!(
-            cfg.max_extra_allocs,
-            CostGateConfig::default().max_extra_allocs
+            value_get(entries, "reconcile_error_deliver").and_then(JsonValue::as_f64),
+            Some(0.06)
         );
-        assert_eq!(cfg.rounds, CostGateConfig::default().rounds);
     }
 
     #[test]
-    fn config_from_json_rejects_malformed_documents() {
-        assert!(config_from_json("[]").is_err());
-        assert!(config_from_json("{\"max_overhead\": \"lots\"}").is_err());
-        assert!(config_from_json("not json").is_err());
+    fn infinite_reconcile_errors_render_as_null() {
+        // A stage sum of zero makes the relative error infinite: exactly
+        // the failing run whose report must still parse.
+        let result = CostGateResult {
+            reconcile_error_match: f64::INFINITY,
+            reconcile_error_deliver: f64::INFINITY,
+            violations: vec![String::from(
+                "match reconciliation error inf% exceeds the 35.0% tolerance at k=64",
+            )],
+            ..sample()
+        };
+        let parsed: JsonValue = serde_json::from_str(&result.render_json()).expect("valid JSON");
+        let entries = parsed.as_map().expect("object");
+        for key in ["reconcile_error_match", "reconcile_error_deliver"] {
+            assert_eq!(value_get(entries, key), Some(&JsonValue::Null), "{key}");
+        }
+        let violations = value_get(entries, "violations")
+            .and_then(JsonValue::as_seq)
+            .expect("violations array");
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].as_str().unwrap().contains("reconciliation"));
+        assert_eq!(
+            value_get(entries, "passed").and_then(JsonValue::as_bool),
+            Some(false)
+        );
     }
 
     #[test]
     fn reconciliation_is_exact_at_k_one_on_a_tiny_run() {
-        let eval = EvalConfig::tiny();
-        let workload = Workload::generate(&eval);
-        let events: Vec<Arc<Event>> = workload
-            .events()
-            .iter()
-            .take(32)
-            .cloned()
-            .map(Arc::new)
-            .collect();
-        let subs: Vec<Subscription> = workload.subscriptions().iter().take(4).cloned().collect();
-        let (err_match, err_deliver, samples, exact) = measure_reconciliation(&subs, &events, 2, 1);
+        let (subs, events) = gate_workload();
+        let (err_match, err_deliver, samples, exact) =
+            measure_reconciliation(&subs[..4], &events[..32], 2, 1);
         assert!(exact, "k=1 must be exact (err {err_match} / {err_deliver})");
         assert!(samples > 0);
     }

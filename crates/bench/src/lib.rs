@@ -19,9 +19,9 @@
 pub mod alloc;
 pub mod costgate;
 pub mod gate;
+pub mod harness;
 pub mod obsgate;
 pub mod overload;
-pub mod partition;
 pub mod quality;
 pub mod report;
 pub mod subindex;

@@ -16,22 +16,25 @@
 //!   bundle whose cause names the trigger and which carries at least one
 //!   pre-trigger frame.
 //!
-//! The result renders as `BENCH_obsgate.json`; the panic bundle itself is
-//! the `BENCH_diag_bundle.json` CI artifact.
+//! The A/B and allocation loops come from [`crate::harness`]. The result
+//! renders as `BENCH_obsgate.json`; the panic bundle itself is the
+//! `BENCH_diag_bundle.json` CI artifact.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde::value_get;
+use serde::{value_get, Serialize};
 use serde_json::JsonValue;
 use tep::prelude::{
     parse_event, Broker, BrokerConfig, Event, ExactMatcher, LoadState, MatchResult, Matcher,
     OverloadConfig, RecorderSettings, Subscription,
 };
-use tep_eval::{EvalConfig, Workload};
 
-const FLUSH_DEADLINE: Duration = Duration::from_secs(120);
-const PUBLISH_BURST: usize = 128;
+use crate::harness::{
+    bench_workers, gate_workload, interleaved_ab, measure_throughput, publish_round, steady_allocs,
+    FLUSH_DEADLINE,
+};
+
 /// Forced frame ticks in the steady-state allocation loop.
 const STEADY_TICKS: u64 = 256;
 
@@ -117,49 +120,36 @@ impl ObsGateResult {
 
     /// The machine-readable `BENCH_obsgate.json` document.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"baseline_events_per_sec\": {:.1},\n",
-            self.baseline_events_per_sec
-        ));
-        out.push_str(&format!(
-            "  \"recorder_events_per_sec\": {:.1},\n",
-            self.recorder_events_per_sec
-        ));
-        out.push_str(&format!("  \"overhead\": {:.6},\n", self.overhead));
-        out.push_str(&format!("  \"steady_ticks\": {},\n", self.steady_ticks));
-        out.push_str(&format!("  \"steady_allocs\": {},\n", self.steady_allocs));
-        out.push_str(&format!(
-            "  \"frames_in_bundle\": {},\n",
-            self.frames_in_bundle
-        ));
-        out.push_str(&format!(
-            "  \"panic_bundle_produced\": {},\n",
-            self.panic_bundle.is_some()
-        ));
-        out.push_str(&format!(
-            "  \"critical_bundle_produced\": {},\n",
-            self.critical_bundle.is_some()
-        ));
-        out.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(&tep_obs_escape(v));
-            out.push('"');
-        }
-        out.push_str("],\n");
-        out.push_str(&format!("  \"passed\": {}\n}}\n", self.passed()));
-        out
+        let report = ObsGateReport {
+            baseline_events_per_sec: self.baseline_events_per_sec,
+            recorder_events_per_sec: self.recorder_events_per_sec,
+            overhead: self.overhead,
+            steady_ticks: self.steady_ticks,
+            steady_allocs: self.steady_allocs,
+            frames_in_bundle: self.frames_in_bundle,
+            panic_bundle_produced: self.panic_bundle.is_some(),
+            critical_bundle_produced: self.critical_bundle.is_some(),
+            violations: self.violations.clone(),
+            passed: self.passed(),
+        };
+        serde_json::to_string_pretty(&report).expect("obs-gate figures are finite") + "\n"
     }
 }
 
-fn tep_obs_escape(s: &str) -> String {
-    // The violation strings are ASCII diagnostics; quote/backslash cover
-    // everything format!() can put in them.
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The `BENCH_obsgate.json` document: the result with the bundles
+/// reduced to whether each was produced.
+#[derive(Serialize)]
+struct ObsGateReport {
+    baseline_events_per_sec: f64,
+    recorder_events_per_sec: f64,
+    overhead: f64,
+    steady_ticks: u64,
+    steady_allocs: u64,
+    frames_in_bundle: u64,
+    panic_bundle_produced: bool,
+    critical_bundle_produced: bool,
+    violations: Vec<String>,
+    passed: bool,
 }
 
 /// A matcher that panics on events carrying `k: boom` and otherwise
@@ -175,13 +165,6 @@ impl Matcher for PanicOnBoom {
     }
 }
 
-fn bench_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(2)
-        .min(2)
-}
-
 /// A recorder tuned so frames genuinely record inside a tens-of-ms timed
 /// window: the 250 ms production default would never fire.
 fn fast_recorder() -> RecorderSettings {
@@ -191,78 +174,36 @@ fn fast_recorder() -> RecorderSettings {
     }
 }
 
-/// One `seed_exact_broadcast`-shaped measurement; returns events/sec.
-fn measure_throughput(
-    subs: &[Subscription],
-    events: &[Arc<Event>],
-    rounds: usize,
-    recorder: Option<RecorderSettings>,
-) -> f64 {
-    let mut config = BrokerConfig::default().with_workers(bench_workers());
-    if let Some(settings) = recorder {
-        config = config.with_flight_recorder(settings);
-    }
-    let broker = Broker::start(Arc::new(ExactMatcher::new()), config);
-    let receivers: Vec<_> = subs
-        .iter()
-        .map(|s| broker.subscribe(s.clone()).expect("subscribe").1)
-        .collect();
-    // Untimed warm-up round, same rationale as the throughput scenarios.
-    for e in events {
-        broker.publish_arc(Arc::clone(e)).expect("publish");
-    }
-    broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
-    let start = Instant::now();
-    for _ in 0..rounds {
-        for burst in events.chunks(PUBLISH_BURST) {
-            for e in burst {
-                broker.publish_arc(Arc::clone(e)).expect("publish");
-            }
-            broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    for rx in &receivers {
-        while rx.try_recv().is_ok() {}
-    }
-    broker.close();
-    (events.len() * rounds) as f64 / elapsed
-}
-
 /// Forced-tick allocation loop; returns `(allocations, frames_in_bundle)`.
 fn measure_steady_allocs(subs: &[Subscription], events: &[Arc<Event>]) -> (u64, u64) {
     let config = BrokerConfig::default()
         .with_workers(bench_workers())
         .with_flight_recorder(RecorderSettings::default());
-    let broker = Broker::start(Arc::new(ExactMatcher::new()), config);
-    let receivers: Vec<_> = subs
-        .iter()
-        .map(|s| broker.subscribe(s.clone()).expect("subscribe").1)
-        .collect();
-    // Real traffic first so every stage histogram has buckets to merge,
-    // then a few forced ticks so the frame buffers and the shared
-    // histogram scratch have grown to their steady-state footprint.
-    for e in events {
-        broker.publish_arc(Arc::clone(e)).expect("publish");
-    }
-    broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
-    for _ in 0..4 {
-        broker.record_diagnostic_frame();
-    }
-    let before = crate::alloc::allocation_count();
-    for _ in 0..STEADY_TICKS {
-        broker.record_diagnostic_frame();
-    }
-    let allocs = crate::alloc::allocation_count().saturating_sub(before);
-    let frames = broker
+    let (allocs, rig) = steady_allocs(
+        config,
+        subs,
+        // Real traffic first so every stage histogram has buckets to
+        // merge, then a few forced ticks so the frame buffers and the
+        // shared histogram scratch have grown to their steady-state
+        // footprint.
+        |rig| {
+            publish_round(&rig.broker, events);
+            for _ in 0..4 {
+                rig.broker.record_diagnostic_frame();
+            }
+        },
+        |rig| {
+            for _ in 0..STEADY_TICKS {
+                rig.broker.record_diagnostic_frame();
+            }
+        },
+    );
+    let frames = rig
+        .broker
         .trigger_diagnostic("obs-gate steady-state check")
-        .and_then(|_| broker.latest_bundle_json())
+        .and_then(|_| rig.broker.latest_bundle_json())
         .and_then(|bundle| frames_in_bundle(&bundle))
         .unwrap_or(0);
-    for rx in &receivers {
-        while rx.try_recv().is_ok() {}
-    }
-    broker.close();
     (allocs, frames)
 }
 
@@ -372,64 +313,32 @@ fn check_bundle(label: &str, kind: &str, bundle: &Option<String>, out: &mut Vec<
 
 /// Runs the full observability gate; see the module docs for the checks.
 pub fn run_obs_gate(cfg: &ObsGateConfig) -> ObsGateResult {
-    let eval = EvalConfig::tiny();
-    let workload = Workload::generate(&eval);
-    let events: Vec<Arc<Event>> = workload
-        .events()
-        .iter()
-        .take(128)
-        .cloned()
-        .map(Arc::new)
-        .collect();
-    let subs: Vec<Subscription> = workload.subscriptions().iter().take(8).cloned().collect();
-
-    // Interleave the sides so drift (thermal, competing load) hits both
-    // equally; best-of-N on each side is the stable point estimate. The
-    // gate bounds the recorder's true cost from above, so a comparison
-    // that still lands over the ceiling is re-measured (up to two more
-    // passes) and the lowest observed overhead kept: any clean window
-    // suffices, and one noisy window cannot fail the run.
-    let mut best_off = 0.0f64;
-    let mut best_on = 0.0f64;
-    let mut overhead = f64::INFINITY;
-    for _attempt in 0..3 {
-        let mut off = 0.0f64;
-        let mut on = 0.0f64;
-        for _ in 0..cfg.trials.max(1) {
-            off = off.max(measure_throughput(&subs, &events, cfg.rounds, None));
-            on = on.max(measure_throughput(
-                &subs,
-                &events,
-                cfg.rounds,
-                // The production-default recorder: the gate's claim is
-                // about the configuration operators actually run. At
-                // ~0.7 s per trial the 250 ms tick still fires several
-                // times inside every timed window.
-                Some(RecorderSettings::default()),
-            ));
+    let (subs, events) = gate_workload();
+    let ab = interleaved_ab(cfg.trials, cfg.max_overhead, |on| {
+        let mut config = BrokerConfig::default().with_workers(bench_workers());
+        if on {
+            // The production-default recorder: the gate's claim is about
+            // the configuration operators actually run. At ~0.7 s per
+            // trial the 250 ms tick still fires several times inside
+            // every timed window.
+            config = config.with_flight_recorder(RecorderSettings::default());
         }
-        let pass_overhead = 1.0 - on / off.max(1e-9);
-        if pass_overhead < overhead {
-            overhead = pass_overhead;
-            best_off = off;
-            best_on = on;
-        }
-        if overhead <= cfg.max_overhead {
-            break;
-        }
-    }
+        measure_throughput(config, &subs, &events, cfg.rounds)
+    });
 
     let (steady_allocs, frames_in_bundle) = measure_steady_allocs(&subs, &events);
     let panic_bundle = chaos_panic_bundle();
     let critical_bundle = chaos_critical_bundle();
 
     let mut violations = Vec::new();
-    if overhead > cfg.max_overhead {
+    if ab.overhead > cfg.max_overhead {
         violations.push(format!(
             "recorder overhead {:.2}% exceeds the {:.2}% ceiling \
-             ({best_on:.0} ev/s on vs {best_off:.0} ev/s off)",
-            overhead * 100.0,
+             ({:.0} ev/s on vs {:.0} ev/s off)",
+            ab.overhead * 100.0,
             cfg.max_overhead * 100.0,
+            ab.on,
+            ab.off,
         ));
     }
     if steady_allocs > cfg.max_steady_allocs {
@@ -458,9 +367,9 @@ pub fn run_obs_gate(cfg: &ObsGateConfig) -> ObsGateResult {
     );
 
     ObsGateResult {
-        baseline_events_per_sec: best_off,
-        recorder_events_per_sec: best_on,
-        overhead,
+        baseline_events_per_sec: ab.off,
+        recorder_events_per_sec: ab.on,
+        overhead: ab.overhead,
         steady_ticks: STEADY_TICKS,
         steady_allocs,
         frames_in_bundle,
@@ -489,6 +398,22 @@ mod tests {
         };
         let parsed: JsonValue = serde_json::from_str(&result.render_json()).expect("valid JSON");
         let entries = parsed.as_map().expect("object");
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "baseline_events_per_sec",
+                "recorder_events_per_sec",
+                "overhead",
+                "steady_ticks",
+                "steady_allocs",
+                "frames_in_bundle",
+                "panic_bundle_produced",
+                "critical_bundle_produced",
+                "violations",
+                "passed",
+            ]
+        );
         assert_eq!(
             value_get(entries, "passed").and_then(JsonValue::as_bool),
             Some(false)

@@ -7,21 +7,11 @@
 //! visible alongside raw throughput.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tep::prelude::*;
 use tep_eval::{EvalConfig, MatcherStack, Workload};
 
-/// Deadline for draining a scenario's backlog; generous because CI
-/// machines can be slow and a missed flush would abort the probe.
-const FLUSH_DEADLINE: Duration = Duration::from_secs(120);
-
-/// Events published per burst before the bench waits for the drain.
-///
-/// Large enough that the workers' batch dequeue (`recv_batch`) stays
-/// saturated, small enough that an event's queue wait is bounded by a
-/// burst's drain time rather than the whole round's (§15 of DESIGN.md
-/// covers the tuning).
-const PUBLISH_BURST: usize = 128;
+use crate::harness::{bench_workers, publish_paced, publish_round, FLUSH_DEADLINE};
 
 /// Percentile summary of one pipeline stage's latency histogram
 /// (nanosecond units), as reported in `BENCH_throughput.json`.
@@ -242,28 +232,17 @@ where
     // behaviour is a separate eval experiment, not a throughput headline;
     // folding it into the timed window would also queue every timed event
     // behind the slow cold tests at the head of the backlog.
-    for e in &arc_events {
-        broker.publish_arc(Arc::clone(e)).expect("publish");
-    }
-    broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
+    publish_round(&broker, &arc_events);
     let warmup_stages = broker.stage_latencies();
-    let allocs_before = crate::alloc::allocation_count();
-    let start = Instant::now();
-    for _ in 0..rounds {
-        // A paced producer, not one mega-burst: queue_wait under a burst
-        // is ~drain_time/2 of the whole backlog, so an unbounded burst
-        // measures the burst size instead of the pipeline. Bounded bursts
-        // keep the dequeue batching exercised while the wait histogram
-        // reflects per-event pipeline latency (see DESIGN.md §15).
-        for burst in arc_events.chunks(PUBLISH_BURST) {
-            for e in burst {
-                broker.publish_arc(Arc::clone(e)).expect("publish");
-            }
-            broker.flush_timeout(FLUSH_DEADLINE).expect("flush");
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let allocations = crate::alloc::allocation_count().saturating_sub(allocs_before);
+    let mut elapsed = 0.0;
+    let allocations = crate::alloc::count_window(
+        || (),
+        |_| {
+            let start = Instant::now();
+            publish_paced(&broker, &arc_events, rounds);
+            elapsed = start.elapsed().as_secs_f64().max(1e-9);
+        },
+    );
     let stats = broker.stats();
     let stages = stage_percentiles(&broker.stage_latencies().delta_since(&warmup_stages));
     let prometheus = broker.metrics().render_prometheus();
@@ -310,13 +289,7 @@ pub fn run_broker_scenarios() -> Vec<ScenarioThroughput> {
 /// [`run_broker_scenarios`] with an observer that receives each
 /// scenario's live broker before its first publish.
 pub fn run_broker_scenarios_observed(observer: &ScenarioObserver) -> Vec<ScenarioThroughput> {
-    // The seed scenarios ran 2 workers; keep that on multi-core machines
-    // but never oversubscribe a smaller one — on a single hardware thread
-    // a second worker only adds context switches to every stage.
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(2)
-        .min(2);
+    let workers = bench_workers();
     let cfg = EvalConfig::tiny();
     let stack = MatcherStack::build(&cfg);
     let workload = Workload::generate(&cfg);

@@ -5,7 +5,7 @@ use crate::explain::MatchExplanation;
 use crate::notification::Notification;
 use crate::overload::{BreakerState, LoadState, OverloadController};
 use crate::quality::{QualityOracle, QualityReport, QualityState};
-use crate::stats::{BrokerStats, EventTrace, StageLatencies, StatsInner};
+use crate::stats::{BrokerStats, StageLatencies, StatsInner};
 use crate::subindex::SubscriptionIndex;
 use crate::supervisor::{supervisor_loop, DeadLetter, DeadLetterQueue, Job};
 use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender, TrySendError};
@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 use tep_events::{Event, Subscription};
 use tep_matcher::{CacheStats, Matcher};
 use tep_obs::{
-    escape_json, render_spans_json, span_tree, CostEntry, CostTable, CounterFamily, FlightRecorder,
-    FrameWriter, MetricsFrame, MetricsRegistry, RecorderConfig, SpanCollector, SpanNode,
-    SpanRecord, TopKSketch, TraceRing, WindowRing, WindowedDelta,
+    escape_json, render_spans_json, span_tree, BoundedRing, CostEntry, CostTable, CounterFamily,
+    FlightRecorder, FrameWriter, MetricsFrame, MetricsRegistry, RecorderConfig, SpanCollector,
+    SpanNode, SpanRecord, TopKSketch, WindowRing, WindowedDelta,
 };
 
 /// Default deadline for the bare [`Broker::flush`] convenience wrapper.
@@ -196,12 +196,9 @@ pub(crate) struct Shared {
     pub(crate) ingress: Sender<Job>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) dead_letters: DeadLetterQueue,
-    /// Bounded per-event pipeline traces; capacity 0 (the default)
-    /// disables tracing.
-    pub(crate) trace: TraceRing<EventTrace>,
     /// Bounded per-match-test explanations; capacity 0 (the default)
     /// disables the ring.
-    pub(crate) explain: TraceRing<MatchExplanation>,
+    pub(crate) explain: BoundedRing<MatchExplanation>,
     /// Sampled causal spans; disabled unless
     /// [`BrokerConfig::span_sample_every`] is non-zero.
     pub(crate) spans: SpanCollector,
@@ -360,8 +357,7 @@ impl CostState {
         self.hot_themes.record_n(tag, match_ns + deliver_ns);
     }
 
-    /// The per-theme cost table as sorted [`CostEntry`] rows (the
-    /// partition planner's input). Theme rows carry no per-row sample
+    /// The per-theme cost table as sorted [`CostEntry`] rows. Theme rows carry no per-row sample
     /// count — a dispatch charges every tag of its event — so `samples`
     /// is 0 on each row.
     pub(crate) fn theme_entries(&self) -> Vec<CostEntry> {
@@ -694,7 +690,7 @@ pub struct Broker {
     shared: Arc<Shared>,
     supervisor: Option<JoinHandle<()>>,
     next_id: AtomicU64,
-    /// Publish-order sequence numbers for [`EventTrace::seq`].
+    /// Publish-order sequence numbers; key span sampling.
     next_seq: AtomicU64,
 }
 
@@ -737,8 +733,7 @@ impl Broker {
             hooks,
             stats: Arc::new(StatsInner::new(worker_count)),
             dead_letters: DeadLetterQueue::new(config.dead_letter_capacity),
-            trace: TraceRing::new(config.trace_capacity),
-            explain: TraceRing::new(config.explain_capacity),
+            explain: BoundedRing::new(config.explain_capacity),
             spans: SpanCollector::new(config.span_capacity, config.span_sample_every),
             dim: config
                 .labeled_metrics
@@ -1065,12 +1060,6 @@ impl Broker {
     /// notification delivery.
     pub fn stage_latencies(&self) -> StageLatencies {
         self.shared.stats.stage_snapshot()
-    }
-
-    /// The last [`BrokerConfig::trace_capacity`] per-event pipeline
-    /// traces, oldest first. Empty unless tracing was enabled.
-    pub fn traces(&self) -> Vec<EventTrace> {
-        self.shared.trace.snapshot()
     }
 
     /// The newest `n` match explanations, oldest first. Empty unless

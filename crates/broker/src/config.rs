@@ -163,12 +163,6 @@ pub struct BrokerConfig {
     pub dead_letter_capacity: usize,
     /// How events are routed to subscriptions for match testing.
     pub routing_policy: RoutingPolicy,
-    /// Capacity of the per-event trace ring ([`crate::Broker::traces`]):
-    /// the broker keeps the last `trace_capacity` [`crate::EventTrace`]
-    /// records. `0` (the default) disables tracing entirely — the hot
-    /// path then pays nothing for it.
-    #[serde(default)]
-    pub trace_capacity: usize,
     /// Capacity of the match-explanation ring
     /// ([`crate::Broker::explain_last`]): the broker keeps the last
     /// `explain_capacity` [`crate::MatchExplanation`] records. `0` (the
@@ -307,12 +301,6 @@ impl BrokerConfig {
         self
     }
 
-    /// Replaces the trace-ring capacity (`0` disables tracing).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> BrokerConfig {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Replaces the match-explanation ring capacity (`0` disables the
     /// ring).
     pub fn with_explain_capacity(mut self, capacity: usize) -> BrokerConfig {
@@ -405,7 +393,6 @@ impl Default for BrokerConfig {
             max_match_attempts: 2,
             dead_letter_capacity: 64,
             routing_policy: RoutingPolicy::Broadcast,
-            trace_capacity: 0,
             explain_capacity: 0,
             span_sample_every: 0,
             span_capacity: default_span_capacity(),
@@ -437,7 +424,6 @@ mod tests {
         assert_eq!(c.publish_policy, PublishPolicy::Block);
         assert_eq!(c.subscriber_policy, SubscriberPolicy::DropNewest);
         assert_eq!(c.routing_policy, RoutingPolicy::Broadcast);
-        assert_eq!(c.trace_capacity, 0, "tracing is opt-in");
         assert_eq!(c.explain_capacity, 0, "explanations are opt-in");
         assert_eq!(c.span_sample_every, 0, "span sampling is opt-in");
         assert_eq!(c.span_capacity, 1024);
@@ -461,7 +447,6 @@ mod tests {
             .with_max_match_attempts(0)
             .with_panic_isolation(false)
             .with_routing_policy(RoutingPolicy::ThemeOverlap)
-            .with_trace_capacity(128)
             .with_explain_capacity(64)
             .with_span_sampling(10)
             .with_span_capacity(256)
@@ -481,7 +466,6 @@ mod tests {
         );
         assert!(!c.isolate_matcher_panics);
         assert_eq!(c.routing_policy, RoutingPolicy::ThemeOverlap);
-        assert_eq!(c.trace_capacity, 128);
         assert_eq!(c.explain_capacity, 64);
         assert_eq!(c.span_sample_every, 10);
         assert_eq!(c.span_capacity, 256);
@@ -529,6 +513,18 @@ mod tests {
         assert_ne!(stripped, json, "cost key should strip");
         let legacy: BrokerConfig = serde_json::from_str(&stripped).unwrap();
         assert_eq!(legacy.cost_sample_every, 0);
+    }
+
+    #[test]
+    fn saved_config_with_a_trace_capacity_still_loads() {
+        // Configs saved while the per-event trace ring existed carry a
+        // `trace_capacity` key; it is ignored, everything else loads.
+        let c = BrokerConfig::default().with_explain_capacity(16);
+        let json = serde_json::to_string(&c).unwrap();
+        let saved = json.replacen('{', "{\"trace_capacity\":8,", 1);
+        assert!(saved.contains("\"trace_capacity\":8"));
+        let back: BrokerConfig = serde_json::from_str(&saved).unwrap();
+        assert_eq!(back, c);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use explain::{render_explanations_json, CacheTemperature, MatchExplanation, 
 pub use notification::Notification;
 pub use overload::{BreakerConfig, LoadState, OverloadConfig, ShedReason};
 pub use quality::{render_quality_json, DriftAlert, DriftKind, QualityOracle, QualityReport};
-pub use stats::{BrokerStats, EventTrace, StageLatencies};
+pub use stats::{BrokerStats, StageLatencies};
 pub use supervisor::DeadLetter;
 // Re-exported so downstream code can consume [`Broker::metrics`],
 // [`Broker::stage_latencies`], [`Broker::span_tree`], and the scrape

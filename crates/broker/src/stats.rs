@@ -160,26 +160,6 @@ impl StageLatencies {
     }
 }
 
-/// One event's trip through the pipeline, captured in the bounded trace
-/// ring when [`crate::BrokerConfig::trace_capacity`] is non-zero
-/// ([`crate::Broker::traces`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventTrace {
-    /// Publish-order sequence number assigned by
-    /// [`crate::Broker::publish`].
-    pub seq: u64,
-    /// Candidate subscriptions the routing policy selected for this event.
-    pub candidates: usize,
-    /// Subscriptions skipped without a match test by theme routing.
-    pub routing_skipped: usize,
-    /// Match tests actually executed (retries included).
-    pub match_tests: usize,
-    /// Notifications handed to subscriber channels.
-    pub notifications: usize,
-    /// Whether the event ended in the dead-letter queue.
-    pub quarantined: bool,
-}
-
 /// Nanoseconds between two [`Instant`]s, saturating at zero; `u64` holds
 /// ~584 years, so the cast cannot truncate a real measurement.
 pub(crate) fn nanos_between(start: Instant, end: Instant) -> u64 {

@@ -23,7 +23,7 @@ use crate::config::{RoutingPolicy, SubscriberPolicy};
 use crate::explain::{CacheTemperature, MatchExplanation, MatchOutcome};
 use crate::notification::Notification;
 use crate::quality::QualityState;
-use crate::stats::{nanos_between, EventTrace, WorkerShard};
+use crate::stats::{nanos_between, WorkerShard};
 use crate::subindex::{DispatchScratch, IndexEntry};
 use crossbeam::channel::{Receiver, TryRecvError, TrySendError};
 use parking_lot::Mutex;
@@ -46,7 +46,7 @@ pub(crate) struct Job {
     pub(crate) event: Arc<Event>,
     pub(crate) attempts: u32,
     /// Publish-order sequence number, stable across retries; keys the
-    /// event's [`EventTrace`].
+    /// event's spans and the 1-in-k samplers.
     pub(crate) seq: u64,
     /// When this job entered (or re-entered) the ingress queue; the
     /// queue-wait histogram measures from here to the worker's dequeue.
@@ -428,8 +428,6 @@ struct FanOut<'a, M: ?Sized> {
     job: &'a Job,
     explain_ring: bool,
     quality: Option<&'a QualityState>,
-    /// Notifications admitted to subscriber channels.
-    notifications: usize,
     /// Subscribers the overload policy flagged for reaping.
     dead: Vec<SubscriptionId>,
 }
@@ -525,9 +523,6 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
                 explanation: attached,
             };
             let admitted = deliver(shared, self.shard, id, reg, notification, &mut self.dead);
-            if admitted {
-                self.notifications += 1;
-            }
             let end = Instant::now();
             let deliver_ns = nanos_between(start, end);
             self.shard.stage.deliver.record_nanos(deliver_ns);
@@ -737,16 +732,6 @@ fn process_event<M>(
                     )],
                 );
             }
-            if shared.trace.is_enabled() {
-                shared.trace.push(EventTrace {
-                    seq: job.seq,
-                    candidates: 0,
-                    routing_skipped: 0,
-                    match_tests: 0,
-                    notifications: 0,
-                    quarantined: false,
-                });
-            }
             return;
         }
         degraded = overload.degraded_mode();
@@ -772,17 +757,16 @@ fn process_event<M>(
     // Skip accounting stays in *subscriber* units (as before the index):
     // every subscriber behind a non-candidate entry was skipped without a
     // match test.
-    let trace_skipped = if all_entries {
+    let routing_skipped = if all_entries {
         0usize
     } else {
         total_subs.saturating_sub(candidate_subs) as usize
     };
-    if trace_skipped > 0 {
+    if routing_skipped > 0 {
         shard
             .routing_skipped
-            .fetch_add(trace_skipped as u64, Ordering::Relaxed);
+            .fetch_add(routing_skipped as u64, Ordering::Relaxed);
     }
-    let trace_candidates = candidate_subs as usize;
     // The route span covers dequeue → candidate snapshot and parents
     // every match test of the event; `None` for unsampled events keeps
     // the hot path to a branch per stage.
@@ -794,8 +778,8 @@ fn process_event<M>(
             dequeued,
             Instant::now(),
             vec![
-                ("candidates".to_string(), trace_candidates.to_string()),
-                ("routing_skipped".to_string(), trace_skipped.to_string()),
+                ("candidates".to_string(), candidate_subs.to_string()),
+                ("routing_skipped".to_string(), routing_skipped.to_string()),
             ],
         )
     });
@@ -809,13 +793,12 @@ fn process_event<M>(
         job: &job,
         explain_ring: shared.explain.is_enabled(),
         quality: shared.quality.get().map(Arc::as_ref),
-        notifications: 0,
         dead: Vec::new(),
     };
     let observed = fan.explain_ring || fan.quality.is_some();
     // Covering requires the matcher to declare conjunctive semantics.
     let covering = matcher.covering_safe();
-    let mut trace_match_tests = 0usize;
+    let mut match_tests = 0usize;
     let mut exhausted_attempts = 0u32;
     // Per-temperature test counts, flushed into the labeled families in
     // one pass at the end of the event (a branch and three adds per
@@ -887,7 +870,7 @@ fn process_event<M>(
             &job,
             degraded,
         );
-        trace_match_tests += run.tests_run;
+        match_tests += run.tests_run;
         match run.temperature {
             CacheTemperature::Exact => temp_exact += 1,
             CacheTemperature::ThematicCold => temp_thematic += 1,
@@ -983,11 +966,7 @@ fn process_event<M>(
             flush_entry_cost(cost, &entry, &job, match_ns, deliver_ns);
         }
     }
-    let FanOut {
-        notifications: trace_notifications,
-        dead,
-        ..
-    } = fan;
+    let FanOut { dead, .. } = fan;
     if !dead.is_empty() {
         let mut reaped: Vec<(SubscriptionId, Arc<Registration>)> = Vec::new();
         {
@@ -1037,7 +1016,7 @@ fn process_event<M>(
     // attribution, temperature counts, and term frequencies. Disabled
     // cost is the single branch on `dim`.
     if let Some(dim) = &shared.dim {
-        let tests = trace_match_tests as u64;
+        let tests = match_tests as u64;
         for tag in job.event.theme_tags() {
             if tests > 0 {
                 dim.match_by_theme.add(tag, tests);
@@ -1057,16 +1036,6 @@ fn process_event<M>(
         if temp_cached > 0 {
             dim.match_by_temp.add("cached", temp_cached);
         }
-    }
-    if shared.trace.is_enabled() {
-        shared.trace.push(EventTrace {
-            seq: job.seq,
-            candidates: trace_candidates,
-            routing_skipped: trace_skipped,
-            match_tests: trace_match_tests,
-            notifications: trace_notifications,
-            quarantined,
-        });
     }
 }
 

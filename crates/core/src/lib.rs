@@ -69,7 +69,7 @@ pub mod prelude {
     pub use tep_broker::{
         render_explanations_json, render_quality_json, render_spans_json, serve, span_tree,
         BreakerConfig, Broker, BrokerConfig, BrokerError, BrokerStats, CacheTemperature, CostEntry,
-        CostReport, DeadLetter, DiagnosticFrame, DriftAlert, DriftKind, EventTrace, FlightRecorder,
+        CostReport, DeadLetter, DiagnosticFrame, DriftAlert, DriftKind, FlightRecorder,
         HistogramSnapshot, LoadState, MatchExplanation, MatchOutcome, MetricsRegistry,
         Notification, OverloadConfig, PublishOptions, PublishPolicy, QualityOracle, QualityReport,
         RecorderConfig, RecorderSettings, RoutingPolicy, ScrapeHandlers, ScrapeServer, ShedReason,

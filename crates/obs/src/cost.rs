@@ -200,8 +200,8 @@ impl CostTable {
     }
 
     /// Every live entity's totals, most expensive (match + deliver)
-    /// first; ties break by label. A cold-path read for `/costs`, the
-    /// partition planner, and tests — it allocates freely.
+    /// first; ties break by label. A cold-path read for `/costs` and
+    /// tests — it allocates freely.
     pub fn snapshot(&self) -> Vec<CostEntry> {
         let mut out = Vec::new();
         for shard in &self.shards {

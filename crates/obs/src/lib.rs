@@ -14,8 +14,8 @@
 //! * [`MetricsRegistry`] — a flat registry of counters, gauges, and
 //!   histogram snapshots rendering both the Prometheus text exposition
 //!   format and a JSON document;
-//! * [`TraceRing`] — a bounded MPMC ring buffer keeping the last N
-//!   per-event traces for debugging routing decisions;
+//! * [`BoundedRing`] — a bounded MPMC ring buffer keeping the last N
+//!   entries, the store behind match explanations and causal spans;
 //! * [`SpanCollector`] / [`SpanRecord`] / [`span_tree`] — causal
 //!   parent/child spans with deterministic 1-in-k sampling, so one
 //!   event's publish → route → match → deliver journey reconstructs as
@@ -50,10 +50,10 @@ mod escape;
 mod hist;
 mod recorder;
 mod registry;
+mod ring;
 mod serve;
 mod span;
 mod topk;
-mod trace;
 mod window;
 
 pub use cost::{CostEntry, CostTable, CostTotals};
@@ -62,8 +62,8 @@ pub use escape::{escape_json, is_valid_label_name, is_valid_metric_name};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use recorder::{DiagnosticFrame, FlightRecorder, FrameWriter, RecorderConfig, StageStat};
 pub use registry::MetricsRegistry;
+pub use ring::BoundedRing;
 pub use serve::{serve, ScrapeHandlers, ScrapeServer};
 pub use span::{render_spans_json, span_tree, SpanCollector, SpanNode, SpanRecord};
 pub use topk::TopKSketch;
-pub use trace::TraceRing;
 pub use window::{MetricsFrame, WindowRing, WindowedDelta};

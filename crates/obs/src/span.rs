@@ -1,6 +1,6 @@
 //! Causal spans: parent/child timing records keyed by event sequence.
 //!
-//! A [`SpanCollector`] turns the flat trace ring into a causal trace: each
+//! A [`SpanCollector`] keeps a causal trace in a bounded ring: each
 //! recorded [`SpanRecord`] carries its parent's id, so one event's journey
 //! (publish → route → N match tests → M deliveries → quarantine)
 //! reconstructs as a tree with [`span_tree`]. Sampling is deterministic —
@@ -9,7 +9,7 @@
 //! modulo.
 
 use crate::escape::escape_json;
-use crate::trace::TraceRing;
+use crate::ring::BoundedRing;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -37,11 +37,11 @@ pub struct SpanRecord {
 /// Collects sampled [`SpanRecord`]s into a bounded ring.
 ///
 /// Thread-safe: ids come from an atomic counter and the ring is the same
-/// mutexed deque the event traces use. Disabled collectors (capacity 0
+/// mutexed deque the explanation ring uses. Disabled collectors (capacity 0
 /// or `sample_every` 0) never record and never allocate.
 #[derive(Debug)]
 pub struct SpanCollector {
-    ring: TraceRing<SpanRecord>,
+    ring: BoundedRing<SpanRecord>,
     next_id: AtomicU64,
     epoch: Instant,
     sample_every: u64,
@@ -52,7 +52,7 @@ impl SpanCollector {
     /// event in every `sample_every` (both 0 = disabled).
     pub fn new(capacity: usize, sample_every: u64) -> SpanCollector {
         SpanCollector {
-            ring: TraceRing::new(capacity),
+            ring: BoundedRing::new(capacity),
             next_id: AtomicU64::new(1),
             epoch: Instant::now(),
             sample_every,

@@ -1,6 +1,6 @@
 //! Integration tests for the pipeline observability layer: stage latency
-//! histograms, the metrics registry export, the per-event trace ring,
-//! match explanations, causal span trees, and the scrape endpoints.
+//! histograms, the metrics registry export, match explanations, causal
+//! span trees, and the scrape endpoints.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -224,14 +224,15 @@ fn metrics_export_prometheus_and_json() {
     b.shutdown();
 }
 
-/// With theme routing and tracing enabled, a routed event's trace shows
-/// the candidate set after the skip, and the skip itself.
+/// With theme routing and span sampling on, a routed event's route span
+/// shows the candidate set after the skip and the skip itself, and the
+/// broker counters move by exactly that event's work.
 #[test]
-fn trace_ring_records_routing_skips() {
+fn routing_skips_show_in_stats_and_the_route_span() {
     let config = BrokerConfig::default()
         .with_workers(1)
         .with_routing_policy(RoutingPolicy::ThemeOverlap)
-        .with_trace_capacity(8);
+        .with_span_sampling(1);
     let b = exact_broker(config);
     let (_, power_rx) = b
         .subscribe(parse_subscription("({power}, {k= v})").unwrap())
@@ -240,60 +241,46 @@ fn trace_ring_records_routing_skips() {
         .subscribe(parse_subscription("({transport}, {k= v})").unwrap())
         .unwrap();
 
+    let before = b.stats();
     b.publish(parse_event("({power}, {k: v})").unwrap())
         .unwrap();
     b.flush().unwrap();
-    let traces = b.traces();
-    assert_eq!(traces.len(), 1);
-    let t = &traces[0];
-    assert_eq!(t.seq, 0);
-    assert_eq!(t.candidates, 1, "only the power subscription is tested");
+    let after = b.stats();
     assert_eq!(
-        t.routing_skipped, 1,
+        after.routing_skipped - before.routing_skipped,
+        1,
         "the transport subscription is skipped"
     );
-    assert_eq!(t.match_tests, 1);
-    assert_eq!(t.notifications, 1);
-    assert!(!t.quarantined);
+    assert_eq!(
+        after.match_tests - before.match_tests,
+        1,
+        "only the power subscription is tested"
+    );
+    assert_eq!(after.notifications - before.notifications, 1);
+    assert_eq!(after.quarantined, before.quarantined);
     assert_eq!(power_rx.try_iter().count(), 1);
 
-    // The ring is bounded: flooding it keeps only the newest entries.
-    for i in 0..20 {
-        b.publish(parse_event(&format!("({{power}}, {{k: v, i: n{i}}})")).unwrap())
-            .unwrap();
-    }
-    b.flush().unwrap();
-    let traces = b.traces();
-    assert_eq!(traces.len(), 8, "ring truncates to its capacity");
-    assert_eq!(
-        traces.last().unwrap().seq,
-        20,
-        "the newest event's trace survives"
-    );
+    let route = b
+        .spans()
+        .into_iter()
+        .find(|s| s.seq == 0 && s.name == "route")
+        .expect("the sampled event has a route span");
+    let attr = |key: &str| {
+        route
+            .attrs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+    };
+    assert_eq!(attr("candidates").as_deref(), Some("1"));
+    assert_eq!(attr("routing_skipped").as_deref(), Some("1"));
     b.shutdown();
 }
 
-/// Tracing is opt-in: with the default capacity of 0 the ring stays
-/// empty no matter how much traffic flows.
+/// A quarantined event is counted as quarantined, with its retried match
+/// tests counted and nothing delivered.
 #[test]
-fn tracing_disabled_by_default() {
-    let b = exact_broker(BrokerConfig::default().with_workers(1));
-    let (_, _rx) = b.subscribe(parse_subscription("{k= v}").unwrap()).unwrap();
-    for i in 0..16 {
-        b.publish(parse_event(&format!("{{k: v, i: n{i}}}")).unwrap())
-            .unwrap();
-    }
-    b.flush().unwrap();
-    assert!(b.traces().is_empty());
-    // The stage histograms still record.
-    assert_eq!(b.stage_latencies().queue_wait.count(), 16);
-    b.shutdown();
-}
-
-/// A quarantined event's trace is flagged, with its retried match tests
-/// counted.
-#[test]
-fn trace_flags_quarantined_events() {
+fn quarantined_events_show_in_stats() {
     /// Panics on every `k: boom` event.
     #[derive(Debug)]
     struct BoomMatcher;
@@ -319,17 +306,20 @@ fn trace_flags_quarantined_events() {
 
     let config = BrokerConfig::default()
         .with_workers(1)
-        .with_max_match_attempts(2)
-        .with_trace_capacity(4);
+        .with_max_match_attempts(2);
     let b = Broker::start(Arc::new(BoomMatcher), config);
     let (_, _rx) = b.subscribe(parse_subscription("{k= ok}").unwrap()).unwrap();
+    let before = b.stats();
     b.publish(parse_event("{k: boom}").unwrap()).unwrap();
     b.flush_timeout(Duration::from_secs(10)).unwrap();
-    let traces = b.traces();
-    assert_eq!(traces.len(), 1);
-    assert!(traces[0].quarantined);
-    assert_eq!(traces[0].match_tests, 2, "both retry attempts are counted");
-    assert_eq!(traces[0].notifications, 0);
+    let after = b.stats();
+    assert_eq!(after.quarantined - before.quarantined, 1);
+    assert_eq!(
+        after.match_tests - before.match_tests,
+        2,
+        "both retry attempts are counted"
+    );
+    assert_eq!(after.notifications - before.notifications, 0);
     let _ = std::panic::take_hook();
     b.shutdown();
 }
