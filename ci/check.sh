@@ -12,6 +12,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (rustdoc -D warnings)"
+# Catches intra-doc links left dangling when an item is removed or
+# made private.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 

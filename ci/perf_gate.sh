@@ -31,7 +31,9 @@
 # each gate's config, overridable by the environment variables below.
 #
 # probe obs-gate: the flight recorder at its production defaults must
-# stay within 1% of recorder-off throughput, allocate nothing across 256
+# stay within 1% of recorder-off throughput, both on the exact workload
+# and on its thematic twin (a thematic_cached matcher on the same inputs
+# tagged one term per domain), allocate nothing across 256
 # forced frame ticks, record frames, and freeze well-formed diagnostic
 # bundles for an injected worker panic and a forced Critical load state.
 # It writes BENCH_obsgate.json and the chaos bundle

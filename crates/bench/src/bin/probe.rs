@@ -22,7 +22,6 @@
 mod counting_alloc;
 
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 use tep::prelude::{render_explanations_json, render_quality_json, serve, Broker, ScrapeHandlers};
 use tep::thesaurus::{Domain, Thesaurus};
 use tep_bench::costgate::CostGateConfig;
@@ -161,7 +160,6 @@ fn scrape_handlers(slot: &BrokerSlot) -> ScrapeHandlers {
     let quality_slot = Arc::clone(slot);
     let top_slot = Arc::clone(slot);
     let overload_slot = Arc::clone(slot);
-    let refresh_slot = Arc::clone(slot);
     let readyz_slot = Arc::clone(slot);
     let costs_slot = Arc::clone(slot);
     let bundle_slot = Arc::clone(slot);
@@ -208,15 +206,6 @@ fn scrape_handlers(slot: &BrokerSlot) -> ScrapeHandlers {
     .with_costs(move || match costs_slot.read().unwrap().as_ref() {
         Some(b) => b.costs_json(),
         None => String::from("{\n  \"enabled\": false\n}\n"),
-    })
-    .with_refresh(move || {
-        // Windowed rates are pushed by activity, not by a timer; a scrape
-        // after an idle stretch would otherwise report the stale frame
-        // from whenever traffic last ticked the window. Tick lazily here,
-        // rate-limited so a scrape storm cannot shrink the window frames.
-        if let Some(b) = refresh_slot.read().unwrap().as_ref() {
-            b.tick_window_if_stale(Duration::from_secs(1));
-        }
     })
     .with_readyz(move || match readyz_slot.read().unwrap().as_ref() {
         Some(b) => b.readiness(),

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use serde::Serialize;
-use tep::prelude::{BrokerConfig, Event, Subscription, DEFAULT_COST_SAMPLE_EVERY};
+use tep::prelude::{BrokerConfig, Event, ExactMatcher, Subscription, DEFAULT_COST_SAMPLE_EVERY};
 
 use crate::harness::{
     bench_workers, gate_workload, interleaved_ab, lowest_of_passes, measure_throughput,
@@ -207,7 +207,7 @@ fn measure_reconciliation(
     rounds: usize,
     every: u64,
 ) -> (f64, f64, u64, bool) {
-    let rig = Rig::start(gate_config(every), subs);
+    let rig = Rig::start(Arc::new(ExactMatcher::new()), gate_config(every), subs);
     publish_paced(&rig.broker, events, rounds);
     let report = rig.broker.costs();
     let stages = rig.broker.stage_latencies();
@@ -234,7 +234,13 @@ pub fn run_cost_gate(cfg: &CostGateConfig) -> CostGateResult {
     let every = cfg.sample_every.max(1);
     let ab = interleaved_ab(cfg.trials, cfg.max_overhead, |on| {
         let config = gate_config(if on { every } else { 0 });
-        measure_throughput(config, &subs, &events, cfg.rounds)
+        measure_throughput(
+            Arc::new(ExactMatcher::new()),
+            config,
+            &subs,
+            &events,
+            cfg.rounds,
+        )
     });
 
     let steady_allocs_off = measure_steady_allocs(&subs, &events, 0);

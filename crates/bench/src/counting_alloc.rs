@@ -1,7 +1,6 @@
 //! The `unsafe` half of allocation accounting: a [`System`] pass-through
-//! `GlobalAlloc` that bumps [`tep_bench::alloc`](tep_bench::alloc)
-//! counters on every heap acquisition, plus its `#[global_allocator]`
-//! registration.
+//! `GlobalAlloc` that bumps [`tep_bench::alloc`] counters on every heap
+//! acquisition, plus its `#[global_allocator]` registration.
 //!
 //! Not part of the `tep_bench` library (which forbids `unsafe`); binaries
 //! that want accounting include this file with `#[path]`:

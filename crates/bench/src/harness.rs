@@ -13,7 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Receiver;
-use tep::prelude::{Broker, BrokerConfig, Event, ExactMatcher, Notification, Subscription};
+use tep::prelude::{
+    Broker, BrokerConfig, Domain, Event, ExactMatcher, Matcher, Notification, Subscription,
+    Thesaurus,
+};
 use tep_eval::{EvalConfig, Workload};
 
 /// Deadline for draining a backlog; generous because CI machines can be
@@ -56,6 +59,33 @@ pub fn gate_workload() -> (Vec<Subscription>, Vec<Arc<Event>>) {
     (subs, events)
 }
 
+/// One theme tag per thesaurus domain (each domain's first top term):
+/// the theming of the `seed_thematic_broadcast` scenario.
+pub fn domain_tags() -> Vec<String> {
+    let th = Thesaurus::eurovoc_like();
+    Domain::ALL
+        .iter()
+        .map(|d| th.top_terms(*d)[0].as_str().to_string())
+        .collect()
+}
+
+/// [`gate_workload`] with every subscription and event carrying
+/// [`domain_tags`], so a thematic matcher tests each pair under the
+/// `seed_thematic_broadcast` theme.
+pub fn thematic_gate_workload() -> (Vec<Subscription>, Vec<Arc<Event>>) {
+    let tags = domain_tags();
+    let (subs, events) = gate_workload();
+    let subs = subs
+        .iter()
+        .map(|s| s.with_theme_tags(tags.clone()))
+        .collect();
+    let events = events
+        .iter()
+        .map(|e| Arc::new(e.with_theme_tags(tags.clone())))
+        .collect();
+    (subs, events)
+}
+
 /// Publishes every event once, unpaced, and waits for the drain: the
 /// untimed warm-up round that grows semantic caches and scratch buffers
 /// before any timed window.
@@ -82,8 +112,8 @@ pub fn publish_paced(broker: &Broker, events: &[Arc<Event>], rounds: usize) {
     }
 }
 
-/// An exact-matcher broker with a gate's subscriptions registered.
-/// Dropping it drains every subscriber channel and closes the broker.
+/// A broker with a gate's subscriptions registered. Dropping it drains
+/// every subscriber channel and closes the broker.
 pub struct Rig {
     /// The broker under measurement.
     pub broker: Broker,
@@ -91,9 +121,12 @@ pub struct Rig {
 }
 
 impl Rig {
-    /// Starts the broker and subscribes `subs`.
-    pub fn start(config: BrokerConfig, subs: &[Subscription]) -> Rig {
-        let broker = Broker::start(Arc::new(ExactMatcher::new()), config);
+    /// Starts a broker on `matcher` and subscribes `subs`.
+    pub fn start<M>(matcher: Arc<M>, config: BrokerConfig, subs: &[Subscription]) -> Rig
+    where
+        M: Matcher + Send + Sync + 'static + ?Sized,
+    {
+        let broker = Broker::start(matcher, config);
         let receivers = subs
             .iter()
             .map(|s| broker.subscribe(s.clone()).expect("subscribe").1)
@@ -116,15 +149,19 @@ impl Drop for Rig {
     }
 }
 
-/// One warmed, paced throughput measurement on a fresh [`Rig`]; returns
-/// events/sec over the `rounds` timed rounds.
-pub fn measure_throughput(
+/// One warmed, paced throughput measurement on a fresh [`Rig`] over
+/// `matcher`; returns events/sec over the `rounds` timed rounds.
+pub fn measure_throughput<M>(
+    matcher: Arc<M>,
     config: BrokerConfig,
     subs: &[Subscription],
     events: &[Arc<Event>],
     rounds: usize,
-) -> f64 {
-    let rig = Rig::start(config, subs);
+) -> f64
+where
+    M: Matcher + Send + Sync + 'static + ?Sized,
+{
+    let rig = Rig::start(matcher, config, subs);
     publish_round(&rig.broker, events);
     let start = Instant::now();
     publish_paced(&rig.broker, events, rounds);
@@ -181,11 +218,11 @@ pub fn interleaved_ab(
     AbResult { off, on, overhead }
 }
 
-/// Counts the allocations `window` performs on a fresh [`Rig`] that
-/// `warm` has grown to its steady-state footprint. Start-up and warm-up
-/// run inside [`crate::alloc::count_window`]'s lock but before its
-/// count; the rig is handed back so the caller can inspect what the
-/// window did.
+/// Counts the allocations `window` performs on a fresh exact-matcher
+/// [`Rig`] that `warm` has grown to its steady-state footprint. Start-up
+/// and warm-up run inside [`crate::alloc::count_window`]'s lock but
+/// before its count; the rig is handed back so the caller can inspect
+/// what the window did.
 pub fn steady_allocs(
     config: BrokerConfig,
     subs: &[Subscription],
@@ -195,7 +232,7 @@ pub fn steady_allocs(
     let mut kept = None;
     let allocs = crate::alloc::count_window(
         || {
-            let rig = Arc::new(Rig::start(config, subs));
+            let rig = Arc::new(Rig::start(Arc::new(ExactMatcher::new()), config, subs));
             warm(&rig);
             kept = Some(Arc::clone(&rig));
             rig

@@ -3,18 +3,20 @@
 //!
 //! Three checks, one verdict:
 //!
-//! * **throughput** — the `seed_exact_broadcast` scenario runs
-//!   interleaved with the recorder off and on at the production-default
-//!   settings, with trials long enough that several real frame ticks
-//!   land inside every timed window; best-of-N on each side must agree
-//!   within [`ObsGateConfig::max_overhead`] (default 1%);
+//! * **throughput** — the `seed_exact_broadcast` scenario, and its
+//!   thematic twin on a `thematic_cached` matcher, each run interleaved
+//!   with the recorder off and on at the production-default settings,
+//!   with trials long enough that several real frame ticks land inside
+//!   every timed window; best-of-N on each side must agree within
+//!   [`ObsGateConfig::max_overhead`] (default 1%) on both matchers;
 //! * **steady-state allocation** — after warm-up, a tight loop of forced
 //!   frame ticks on a live broker must allocate nothing: every frame
-//!   buffer, theme slot, and histogram scratch is reused;
+//!   buffer, theme slot, and stage histogram is reused;
 //! * **chaos** — an injected worker panic (isolation off) and a forced
 //!   `Critical` load state must each freeze a well-formed diagnostic
 //!   bundle whose cause names the trigger and which carries at least one
-//!   pre-trigger frame.
+//!   pre-trigger frame (the broker's start-up frame or a supervisor
+//!   tick; warm-up copies are rewound away).
 //!
 //! The A/B and allocation loops come from [`crate::harness`]. The result
 //! renders as `BENCH_obsgate.json`; the panic bundle itself is the
@@ -29,14 +31,21 @@ use tep::prelude::{
     parse_event, Broker, BrokerConfig, Event, ExactMatcher, LoadState, MatchResult, Matcher,
     OverloadConfig, RecorderSettings, Subscription,
 };
+use tep_eval::{EvalConfig, MatcherStack};
 
 use crate::harness::{
     bench_workers, gate_workload, interleaved_ab, measure_throughput, publish_round, steady_allocs,
-    FLUSH_DEADLINE,
+    thematic_gate_workload, AbResult, FLUSH_DEADLINE,
 };
 
 /// Forced frame ticks in the steady-state allocation loop.
 const STEADY_TICKS: u64 = 256;
+
+/// Publish rounds per thematic trial (events = rounds × 128). A
+/// thematic event costs several times an exact one; at ~100k ev/s this
+/// is ~1.3 s per trial, long enough that scheduling noise on a two-core
+/// runner stays under the 1% ceiling.
+const THEMATIC_ROUNDS: usize = 1024;
 
 /// Thresholds for [`run_obs_gate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +58,7 @@ pub struct ObsGateConfig {
     pub max_steady_allocs: u64,
     /// Interleaved measurement trials per side; each side keeps its best.
     pub trials: usize,
-    /// Publish rounds per trial (events = rounds × 128).
+    /// Publish rounds per exact trial (events = rounds × 128).
     pub rounds: usize,
 }
 
@@ -73,6 +82,8 @@ pub struct ObsGateResult {
     pub recorder_events_per_sec: f64,
     /// `1 - on/off`; negative when the recorder side happened to win.
     pub overhead: f64,
+    /// The same A/B on a `thematic_cached` matcher.
+    pub thematic: AbResult,
     /// Forced frame ticks in the allocation loop.
     pub steady_ticks: u64,
     /// Allocations observed across the whole allocation loop.
@@ -97,12 +108,15 @@ impl ObsGateResult {
     pub fn summary(&self) -> String {
         format!(
             "obs gate {}: recorder-off {:.0} ev/s, recorder-on {:.0} ev/s \
-             (overhead {:+.2}%), {} allocs / {} forced ticks, \
-             panic bundle {}, critical bundle {}",
+             (overhead {:+.2}%), thematic {:.0} vs {:.0} ev/s ({:+.2}%), \
+             {} allocs / {} forced ticks, panic bundle {}, critical bundle {}",
             if self.passed() { "PASSED" } else { "FAILED" },
             self.baseline_events_per_sec,
             self.recorder_events_per_sec,
             self.overhead * 100.0,
+            self.thematic.off,
+            self.thematic.on,
+            self.thematic.overhead * 100.0,
             self.steady_allocs,
             self.steady_ticks,
             if self.panic_bundle.is_some() {
@@ -124,6 +138,9 @@ impl ObsGateResult {
             baseline_events_per_sec: self.baseline_events_per_sec,
             recorder_events_per_sec: self.recorder_events_per_sec,
             overhead: self.overhead,
+            thematic_baseline_events_per_sec: self.thematic.off,
+            thematic_recorder_events_per_sec: self.thematic.on,
+            thematic_overhead: self.thematic.overhead,
             steady_ticks: self.steady_ticks,
             steady_allocs: self.steady_allocs,
             frames_in_bundle: self.frames_in_bundle,
@@ -143,6 +160,9 @@ struct ObsGateReport {
     baseline_events_per_sec: f64,
     recorder_events_per_sec: f64,
     overhead: f64,
+    thematic_baseline_events_per_sec: f64,
+    thematic_recorder_events_per_sec: f64,
+    thematic_overhead: f64,
     steady_ticks: u64,
     steady_allocs: u64,
     frames_in_bundle: u64,
@@ -313,17 +333,34 @@ fn check_bundle(label: &str, kind: &str, bundle: &Option<String>, out: &mut Vec<
 
 /// Runs the full observability gate; see the module docs for the checks.
 pub fn run_obs_gate(cfg: &ObsGateConfig) -> ObsGateResult {
-    let (subs, events) = gate_workload();
-    let ab = interleaved_ab(cfg.trials, cfg.max_overhead, |on| {
-        let mut config = BrokerConfig::default().with_workers(bench_workers());
+    // The production-default recorder: the gate's claim is about the
+    // configuration operators actually run. At ~0.7 s per trial the
+    // 250 ms tick still fires several times inside every timed window.
+    let config = |on: bool| {
+        let config = BrokerConfig::default().with_workers(bench_workers());
         if on {
-            // The production-default recorder: the gate's claim is about
-            // the configuration operators actually run. At ~0.7 s per
-            // trial the 250 ms tick still fires several times inside
-            // every timed window.
-            config = config.with_flight_recorder(RecorderSettings::default());
+            config.with_flight_recorder(RecorderSettings::default())
+        } else {
+            config
         }
-        measure_throughput(config, &subs, &events, cfg.rounds)
+    };
+    let (subs, events) = gate_workload();
+    let exact = Arc::new(ExactMatcher::new());
+    let ab = interleaved_ab(cfg.trials, cfg.max_overhead, |on| {
+        measure_throughput(Arc::clone(&exact), config(on), &subs, &events, cfg.rounds)
+    });
+    // One matcher for every thematic trial, so both sides run on the
+    // same warm relatedness caches.
+    let thematic = Arc::new(MatcherStack::build(&EvalConfig::tiny()).thematic_cached());
+    let (themed_subs, themed_events) = thematic_gate_workload();
+    let thematic_ab = interleaved_ab(cfg.trials, cfg.max_overhead, |on| {
+        measure_throughput(
+            Arc::clone(&thematic),
+            config(on),
+            &themed_subs,
+            &themed_events,
+            THEMATIC_ROUNDS,
+        )
     });
 
     let (steady_allocs, frames_in_bundle) = measure_steady_allocs(&subs, &events);
@@ -331,15 +368,17 @@ pub fn run_obs_gate(cfg: &ObsGateConfig) -> ObsGateResult {
     let critical_bundle = chaos_critical_bundle();
 
     let mut violations = Vec::new();
-    if ab.overhead > cfg.max_overhead {
-        violations.push(format!(
-            "recorder overhead {:.2}% exceeds the {:.2}% ceiling \
-             ({:.0} ev/s on vs {:.0} ev/s off)",
-            ab.overhead * 100.0,
-            cfg.max_overhead * 100.0,
-            ab.on,
-            ab.off,
-        ));
+    for (matcher, ab) in [("exact", &ab), ("thematic", &thematic_ab)] {
+        if ab.overhead > cfg.max_overhead {
+            violations.push(format!(
+                "{matcher} recorder overhead {:.2}% exceeds the {:.2}% ceiling \
+                 ({:.0} ev/s on vs {:.0} ev/s off)",
+                ab.overhead * 100.0,
+                cfg.max_overhead * 100.0,
+                ab.on,
+                ab.off,
+            ));
+        }
     }
     if steady_allocs > cfg.max_steady_allocs {
         violations.push(format!(
@@ -370,6 +409,7 @@ pub fn run_obs_gate(cfg: &ObsGateConfig) -> ObsGateResult {
         baseline_events_per_sec: ab.off,
         recorder_events_per_sec: ab.on,
         overhead: ab.overhead,
+        thematic: thematic_ab,
         steady_ticks: STEADY_TICKS,
         steady_allocs,
         frames_in_bundle,
@@ -389,6 +429,11 @@ mod tests {
             baseline_events_per_sec: 100_000.0,
             recorder_events_per_sec: 99_500.0,
             overhead: 0.005,
+            thematic: AbResult {
+                off: 60_000.0,
+                on: 59_700.0,
+                overhead: 0.005,
+            },
             steady_ticks: STEADY_TICKS,
             steady_allocs: 0,
             frames_in_bundle: 8,
@@ -405,6 +450,9 @@ mod tests {
                 "baseline_events_per_sec",
                 "recorder_events_per_sec",
                 "overhead",
+                "thematic_baseline_events_per_sec",
+                "thematic_recorder_events_per_sec",
+                "thematic_overhead",
                 "steady_ticks",
                 "steady_allocs",
                 "frames_in_bundle",

@@ -11,7 +11,7 @@ use std::time::Instant;
 use tep::prelude::*;
 use tep_eval::{EvalConfig, MatcherStack, Workload};
 
-use crate::harness::{bench_workers, publish_paced, publish_round, FLUSH_DEADLINE};
+use crate::harness::{bench_workers, domain_tags, publish_paced, publish_round, FLUSH_DEADLINE};
 
 /// Percentile summary of one pipeline stage's latency histogram
 /// (nanosecond units), as reported in `BENCH_throughput.json`.
@@ -293,11 +293,7 @@ pub fn run_broker_scenarios_observed(observer: &ScenarioObserver) -> Vec<Scenari
     let cfg = EvalConfig::tiny();
     let stack = MatcherStack::build(&cfg);
     let workload = Workload::generate(&cfg);
-    let th = Thesaurus::eurovoc_like();
-    let domain_tags: Vec<String> = Domain::ALL
-        .iter()
-        .map(|d| th.top_terms(*d)[0].as_str().to_string())
-        .collect();
+    let domain_tags = domain_tags();
 
     let base_events: Vec<Event> = workload.events().iter().take(128).cloned().collect();
     let base_subs: Vec<Subscription> = workload.subscriptions().iter().take(8).cloned().collect();
@@ -389,11 +385,7 @@ pub fn instrumented_dump(observer: &ScenarioObserver) -> (String, String) {
     let cfg = EvalConfig::tiny();
     let stack = MatcherStack::build(&cfg);
     let workload = Workload::generate(&cfg);
-    let th = Thesaurus::eurovoc_like();
-    let domain_tags: Vec<String> = Domain::ALL
-        .iter()
-        .map(|d| th.top_terms(*d)[0].as_str().to_string())
-        .collect();
+    let domain_tags = domain_tags();
     let events: Vec<Event> = workload
         .events()
         .iter()

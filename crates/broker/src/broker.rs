@@ -21,8 +21,8 @@ use tep_events::{Event, Subscription};
 use tep_matcher::{CacheStats, Matcher};
 use tep_obs::{
     escape_json, render_spans_json, span_tree, BoundedRing, CostEntry, CostTable, CounterFamily,
-    FlightRecorder, FrameWriter, MetricsFrame, MetricsRegistry, RecorderConfig, SpanCollector,
-    SpanNode, SpanRecord, TopKSketch, WindowRing, WindowedDelta,
+    FlightRecorder, FrameWriter, MetricsRegistry, RecorderConfig, SpanCollector, SpanNode,
+    SpanRecord, TopKSketch, WindowedDelta,
 };
 
 /// Default deadline for the bare [`Broker::flush`] convenience wrapper.
@@ -206,11 +206,6 @@ pub(crate) struct Shared {
     /// [`BrokerConfig::labeled_metrics`] is on, so the disabled hot path
     /// pays one branch per event.
     pub(crate) dim: Option<DimMetrics>,
-    /// Ring of periodic cumulative snapshots backing the windowed
-    /// (`{window="..."}`) series. Always present; frames are pushed only
-    /// by the supervisor tick ([`BrokerConfig::window_tick_ms`]) or by an
-    /// explicit [`Broker::tick_window`], so the hot path never touches it.
-    pub(crate) window: WindowRing,
     /// The shadow quality evaluator; empty unless
     /// [`Broker::with_quality_sampling`] installed an oracle.
     pub(crate) quality: OnceLock<Arc<QualityState>>,
@@ -218,12 +213,11 @@ pub(crate) struct Shared {
     /// [`BrokerConfig::with_overload_control`] enabled it, so the hot
     /// path pays a single branch when it is off.
     pub(crate) overload: Option<OverloadController>,
-    /// When [`Broker::tick_window_if_stale`] last pushed a frame; backs
-    /// the lazy scrape-driven tick used by the probe's `/metrics` server.
-    pub(crate) last_lazy_tick: parking_lot::Mutex<Option<Instant>>,
-    /// The always-on flight recorder; `None` unless
-    /// [`BrokerConfig::with_flight_recorder`] enabled it, so the dequeue
-    /// hot path pays a single branch when it is off.
+    /// The flight recorder, whose frame ring also backs the windowed
+    /// (`{window="..."}`) series; `None` unless
+    /// [`BrokerConfig::with_flight_recorder`] enabled it. Only the
+    /// supervisor's poll loop ticks it, so the dispatch path never
+    /// touches it.
     pub(crate) recorder: Option<FlightRecorder>,
     /// The sampling cost-attribution tables; `None` unless
     /// [`BrokerConfig::with_cost_attribution`] enabled them, so the
@@ -409,8 +403,8 @@ pub struct CostReport {
     pub entries: Vec<CostEntry>,
     /// Exact sampled totals per subscriber.
     pub subscribers: Vec<CostEntry>,
-    /// Sampled totals per event theme tag (`samples` is 0 on these rows;
-    /// see [`CostState::theme_entries`]).
+    /// Sampled totals per event theme tag (`samples` is 0 on these rows:
+    /// a dispatch charges every tag of its event, so no row owns it).
     pub themes: Vec<CostEntry>,
     /// Approximate `(label, sampled ns)` of the most expensive entries.
     pub hot_entries: Vec<(String, u64)>,
@@ -439,43 +433,23 @@ impl CostReport {
     }
 }
 
-/// Cumulative counters and stage histograms captured in each window
-/// frame; names match their `/metrics` series so windowed output lines
-/// up with the cumulative ones.
-const FRAME_COUNTERS: [&str; 5] = [
-    "tep_published_total",
-    "tep_processed_total",
-    "tep_match_tests_total",
-    "tep_notifications_total",
-    "tep_routing_skipped_total",
+/// Frame counters exported as `{window="..."}` rate gauges, with the
+/// series each renders as (the rate of the matching `_total` counter).
+const WINDOWED_RATES: [(&str, &str); 5] = [
+    ("published", "tep_published_rate"),
+    ("processed", "tep_processed_rate"),
+    ("match_tests", "tep_match_tests_rate"),
+    ("notifications", "tep_notifications_rate"),
+    ("routing_skipped", "tep_routing_skipped_rate"),
 ];
 
 impl Shared {
-    /// The current cumulative counters and stage histograms as one
-    /// window frame.
-    pub(crate) fn current_frame(&self) -> MetricsFrame {
-        let stats = self.stats.snapshot();
-        let stages = self.stats.stage_snapshot();
-        let mut frame = MetricsFrame::new();
-        frame
-            .counter("tep_published_total", stats.published)
-            .counter("tep_processed_total", stats.processed)
-            .counter("tep_match_tests_total", stats.match_tests)
-            .counter("tep_notifications_total", stats.notifications)
-            .counter("tep_routing_skipped_total", stats.routing_skipped)
-            .histogram("tep_stage_queue_wait_seconds", stages.queue_wait)
-            .histogram("tep_stage_match_exact_seconds", stages.match_exact)
-            .histogram("tep_stage_match_thematic_seconds", stages.match_thematic)
-            .histogram("tep_stage_match_cached_seconds", stages.match_cached)
-            .histogram("tep_stage_deliver_seconds", stages.deliver);
-        frame
-    }
-
     /// Writes one flight-recorder diagnostic frame: counters, queue and
-    /// breaker gauges, load state, per-stage latency summaries, and the
+    /// breaker gauges, load state, cumulative stage histograms, and the
     /// hottest themes. Allocation-free in steady state — counters come
-    /// from a flat atomic snapshot, stages accumulate into the ring's
-    /// reused scratch, and gauges walk the registry without collecting.
+    /// from a flat atomic snapshot, stages accumulate into the slot's
+    /// reused histograms, and gauges walk the registry without
+    /// collecting.
     pub(crate) fn fill_frame(&self, w: &mut FrameWriter<'_>) {
         let stats = self.stats.snapshot();
         w.counter("published", stats.published);
@@ -738,9 +712,7 @@ impl Broker {
             dim: config
                 .labeled_metrics
                 .then(|| DimMetrics::new(config.label_cardinality)),
-            window: WindowRing::new(config.window_capacity),
             quality: OnceLock::new(),
-            last_lazy_tick: parking_lot::Mutex::new(None),
             overload: config.overload.clone().map(OverloadController::new),
             recorder,
             cost: (config.cost_sample_every > 0)
@@ -752,11 +724,11 @@ impl Broker {
         });
         if let Some(recorder) = &shared.recorder {
             // Warm every ring slot's buffers once, so the steady-state
-            // tick path never allocates — a wrap lands on a slot whose
-            // vectors already hold this frame shape.
-            for _ in 0..recorder.config().frame_capacity {
-                recorder.force_tick(|w| shared.fill_frame(w));
-            }
+            // tick path never allocates, then take the start-up frame:
+            // the base of the first windowed delta, and the one frame a
+            // trigger fired before the supervisor's first tick can carry.
+            recorder.warm(|w| shared.fill_frame(w));
+            recorder.force_tick(|w| shared.fill_frame(w));
         }
         let supervisor = {
             let shared = Arc::clone(&shared);
@@ -1309,7 +1281,7 @@ impl Broker {
     /// Records one flight-recorder frame immediately, regardless of the
     /// tick interval. A no-op when the recorder is off. For tests and
     /// embedders that want deterministic frame boundaries (the recorder
-    /// otherwise ticks itself from the dequeue path and the supervisor).
+    /// otherwise ticks only from the supervisor's poll loop).
     pub fn record_diagnostic_frame(&self) {
         if let Some(recorder) = &self.shared.recorder {
             recorder.force_tick(|w| self.shared.fill_frame(w));
@@ -1344,43 +1316,13 @@ impl Broker {
         (ready, body)
     }
 
-    /// Pushes one cumulative snapshot frame into the window ring *now*.
-    ///
-    /// The supervisor does this automatically every
-    /// [`BrokerConfig::window_tick_ms`] when that is non-zero; tests and
-    /// embedders that want deterministic frame boundaries call this
-    /// directly (e.g. once before and once after a burst).
-    pub fn tick_window(&self) {
-        self.shared.window.push(self.shared.current_frame());
-    }
-
-    /// Pushes a window frame only if at least `min_interval` has elapsed
-    /// since the last frame pushed through this method.
-    ///
-    /// This is the lazy, scrape-driven variant of [`Broker::tick_window`]
-    /// for embedders that serve `/metrics` without a supervisor tick
-    /// (`window_tick_ms` = 0): calling it at the top of every scrape keeps
-    /// the windowed rates fresh — even after long idle stretches — while
-    /// the min-interval guard stops a scrape storm from flooding the ring
-    /// with near-identical frames. Returns whether a frame was pushed.
-    pub fn tick_window_if_stale(&self, min_interval: Duration) -> bool {
-        let mut last = self.shared.last_lazy_tick.lock();
-        let now = Instant::now();
-        if let Some(prev) = *last {
-            if now.saturating_duration_since(prev) < min_interval {
-                return false;
-            }
-        }
-        *last = Some(now);
-        self.shared.window.push(self.shared.current_frame());
-        true
-    }
-
-    /// Windowed deltas over roughly the last `span`: counter rates and
-    /// per-stage histogram slices computed from the frame ring. `None`
-    /// until at least two frames exist (no tick has happened yet).
+    /// Windowed deltas over roughly the last `span`, read from the
+    /// flight recorder's frame ring: counter growth and rates by frame
+    /// counter name (`"published"`, `"match_tests"`, …) and per-stage
+    /// histogram slices by stage name (`"match_exact"`, …). `None` when
+    /// the recorder is off or holds fewer than two frames.
     pub fn window(&self, span: Duration) -> Option<WindowedDelta> {
-        self.shared.window.window(span)
+        self.shared.recorder.as_ref()?.window(span)
     }
 
     /// The `k` hottest event theme tags by estimated frequency,
@@ -1444,7 +1386,7 @@ impl Broker {
     /// * queue-depth gauges for the ingress queue and the subscriber
     ///   channels, so overload policies are observable before they trip,
     /// * windowed (`{window="10s"|"60s"}`) rates and stage histograms
-    ///   once the window ring has frames (see [`Broker::tick_window`]),
+    ///   when the flight recorder is on (see [`Broker::window`]),
     /// * labeled families and quality gauges when
     ///   [`BrokerConfig::labeled_metrics`] / quality sampling are on.
     pub fn metrics(&self) -> MetricsRegistry {
@@ -1752,31 +1694,36 @@ impl Broker {
 
     /// Windowed rates and stage-histogram slices for the last ~10s and
     /// ~60s, labeled `{window="..."}` next to their cumulative series.
+    /// A window is exported only when the recorder's ring can span it
+    /// ([`FlightRecorder::horizon`]): at the default 64 × 250 ms that is
+    /// the 10s window alone.
     fn windowed_metrics(&self, reg: &mut MetricsRegistry) {
+        let Some(recorder) = &self.shared.recorder else {
+            return;
+        };
         for (label, span) in [
             ("10s", Duration::from_secs(10)),
             ("60s", Duration::from_secs(60)),
         ] {
-            let Some(delta) = self.shared.window.window(span) else {
+            if recorder.horizon() < span {
+                continue;
+            }
+            let Some(delta) = recorder.window(span) else {
                 continue;
             };
-            for name in FRAME_COUNTERS {
-                if let Some(rate) = delta.rate(name) {
-                    let rate_name = name
-                        .strip_suffix("_total")
-                        .map(|base| format!("{base}_rate"))
-                        .unwrap_or_else(|| format!("{name}_rate"));
+            for (counter, series) in WINDOWED_RATES {
+                if let Some(rate) = delta.rate(counter) {
                     reg.gauge_with(
-                        &rate_name,
+                        series,
                         "Windowed per-second rate of the matching counter",
                         &[("window", label)],
                         rate,
                     );
                 }
             }
-            for (name, snap) in delta.histograms() {
+            for (stage, snap) in delta.histograms() {
                 reg.histogram_with(
-                    name,
+                    &format!("tep_stage_{stage}_seconds"),
                     "Windowed slice of the matching stage histogram",
                     &[("window", label)],
                     snap.clone(),
@@ -2884,23 +2831,35 @@ mod tests {
         b.shutdown();
     }
 
+    fn recorder_broker(settings: crate::RecorderSettings) -> Broker {
+        Broker::start(
+            Arc::new(ExactMatcher::new()),
+            BrokerConfig::default()
+                .with_workers(2)
+                .with_flight_recorder(settings),
+        )
+    }
+
     #[test]
     fn windowed_series_appear_after_ticks() {
-        let b = broker();
+        assert!(
+            broker().window(Duration::from_secs(10)).is_none(),
+            "recorder off"
+        );
+        let b = recorder_broker(crate::RecorderSettings::default());
         let (_, _rx) = b.subscribe(parse_subscription("{k= v}").unwrap()).unwrap();
-        assert!(b.window(Duration::from_secs(10)).is_none(), "no frames yet");
-        b.tick_window();
         for _ in 0..5 {
             b.publish(parse_event("{k: v}").unwrap()).unwrap();
         }
         b.flush().unwrap();
-        b.tick_window();
+        b.record_diagnostic_frame();
+        // The base is the start-up frame: the ring is far younger than 10s.
         let delta = b.window(Duration::from_secs(10)).expect("two frames");
-        assert_eq!(delta.counter_delta("tep_published_total"), Some(5));
-        assert_eq!(delta.counter_delta("tep_match_tests_total"), Some(5));
-        assert!(delta.rate("tep_published_total").unwrap() > 0.0);
+        assert_eq!(delta.counter_delta("published"), Some(5));
+        assert_eq!(delta.counter_delta("match_tests"), Some(5));
+        assert!(delta.rate("published").unwrap() > 0.0);
         let match_window = delta
-            .histogram("tep_stage_match_exact_seconds")
+            .histogram("match_exact")
             .expect("stage histogram in frame");
         assert_eq!(match_window.count(), 5);
 
@@ -2909,6 +2868,9 @@ mod tests {
             prom.contains("tep_published_rate{window=\"10s\"}"),
             "windowed rate missing:\n{prom}"
         );
+        assert!(prom.contains(
+            "# HELP tep_published_rate Windowed per-second rate of the matching counter"
+        ));
         assert!(prom.contains("tep_stage_match_exact_seconds_count{window=\"10s\"} 5"));
         // Cumulative series keep their bare names alongside.
         assert!(prom.contains("tep_published_total 5"));
@@ -2916,28 +2878,33 @@ mod tests {
     }
 
     #[test]
-    fn lazy_tick_refreshes_windowed_rates_between_scrapes() {
-        let b = broker();
-        let (_, _rx) = b.subscribe(parse_subscription("{k= v}").unwrap()).unwrap();
-        // First scrape-driven tick seeds the ring even though nothing
-        // ever called `tick_window` — the stale-window bug this fixes.
-        assert!(b.tick_window_if_stale(Duration::ZERO));
-        for _ in 0..5 {
-            b.publish(parse_event("{k: v}").unwrap()).unwrap();
+    fn only_windows_the_ring_spans_are_exported() {
+        // 64 frames × 250 ms = 16 s: the 10s window only.
+        let b = recorder_broker(crate::RecorderSettings::default());
+        b.record_diagnostic_frame();
+        let prom = b.metrics().render_prometheus();
+        assert!(
+            prom.contains("tep_published_rate{window=\"10s\"}"),
+            "{prom}"
+        );
+        assert!(!prom.contains("window=\"60s\""), "{prom}");
+        b.shutdown();
+        // 256 frames × 250 ms = 64 s: both windows.
+        let b = recorder_broker(crate::RecorderSettings {
+            frame_capacity: 256,
+            ..crate::RecorderSettings::default()
+        });
+        b.record_diagnostic_frame();
+        let prom = b.metrics().render_prometheus();
+        for window in ["10s", "60s"] {
+            assert!(
+                prom.contains(&format!("tep_published_rate{{window=\"{window}\"}}")),
+                "{window} missing:\n{prom}"
+            );
+            assert!(prom.contains(&format!(
+                "tep_stage_deliver_seconds_count{{window=\"{window}\"}}"
+            )));
         }
-        b.flush().unwrap();
-        // A scrape arriving after the traffic (here: after an idle gap of
-        // zero minimum interval) pushes a fresh frame, so the windowed
-        // delta reflects the activity since the previous scrape.
-        assert!(b.tick_window_if_stale(Duration::ZERO));
-        let delta = b.window(Duration::from_secs(10)).expect("two frames");
-        assert_eq!(delta.counter_delta("tep_published_total"), Some(5));
-
-        // Within the minimum interval the guard refuses: a scrape storm
-        // cannot shrink the frames into meaninglessly small windows.
-        assert!(!b.tick_window_if_stale(Duration::from_secs(60)));
-        // An explicit supervisor-style tick is still allowed alongside.
-        b.tick_window();
         b.shutdown();
     }
 

@@ -192,17 +192,6 @@ pub struct BrokerConfig {
     /// counts stay exact while cardinality stays bounded.
     #[serde(default = "default_label_cardinality")]
     pub label_cardinality: usize,
-    /// Period, in milliseconds, at which the supervisor pushes a
-    /// cumulative metrics frame into the sliding-window ring that backs
-    /// the `{window="10s"|"60s"}` series in [`crate::Broker::metrics`].
-    /// `0` (the default) disables windowed aggregation.
-    #[serde(default)]
-    pub window_tick_ms: u64,
-    /// Capacity of the sliding-window frame ring (frames beyond it
-    /// evict oldest-first). 128 frames at a 1s tick cover both the 10s
-    /// and 60s windows with slack.
-    #[serde(default = "default_window_capacity")]
-    pub window_capacity: usize,
     /// Adaptive overload control ([`crate::LoadState`] machine, deadline /
     /// priority shedding, per-subscriber circuit breakers, and graceful
     /// matching degradation). `None` (the default) disables the whole
@@ -219,9 +208,10 @@ pub struct BrokerConfig {
     #[serde(default = "default_dequeue_batch")]
     pub dequeue_batch: usize,
     /// Always-on flight recorder: periodic diagnostic frames in a
-    /// bounded ring, frozen into a JSON bundle when a trigger fires.
-    /// `None` (the default) disables the whole subsystem — the hot path
-    /// then pays one branch per dequeued event for it.
+    /// bounded ring, frozen into a JSON bundle when a trigger fires. The
+    /// same frames back the `{window="10s"|"60s"}` series in
+    /// [`crate::Broker::metrics`]. `None` (the default) disables the
+    /// whole subsystem; the dispatch path never touches it either way.
     #[serde(default)]
     pub recorder: Option<RecorderSettings>,
     /// Deterministic 1-in-k cost attribution: every sampled dispatch
@@ -240,10 +230,6 @@ fn default_span_capacity() -> usize {
 
 fn default_label_cardinality() -> usize {
     32
-}
-
-fn default_window_capacity() -> usize {
-    128
 }
 
 fn default_dequeue_batch() -> usize {
@@ -334,21 +320,6 @@ impl BrokerConfig {
         self
     }
 
-    /// Enables periodic windowed-metrics frames every `tick` (rounded
-    /// to milliseconds; sub-millisecond ticks clamp to 1ms so enabling
-    /// cannot silently disable).
-    pub fn with_window_tick(mut self, tick: Duration) -> BrokerConfig {
-        self.window_tick_ms = (tick.as_millis() as u64).max(1);
-        self
-    }
-
-    /// Replaces the window frame-ring capacity (clamped to at least 2 —
-    /// a window needs two endpoints).
-    pub fn with_window_capacity(mut self, capacity: usize) -> BrokerConfig {
-        self.window_capacity = capacity.max(2);
-        self
-    }
-
     /// Enables adaptive overload control with the given tuning. See
     /// [`OverloadConfig`] for the knobs and [`crate::LoadState`] for the
     /// state machine it drives.
@@ -398,8 +369,6 @@ impl Default for BrokerConfig {
             span_capacity: default_span_capacity(),
             labeled_metrics: false,
             label_cardinality: default_label_cardinality(),
-            window_tick_ms: 0,
-            window_capacity: default_window_capacity(),
             overload: None,
             dequeue_batch: default_dequeue_batch(),
             recorder: None,
@@ -429,8 +398,6 @@ mod tests {
         assert_eq!(c.span_capacity, 1024);
         assert!(!c.labeled_metrics, "labeled metrics are opt-in");
         assert_eq!(c.label_cardinality, 32);
-        assert_eq!(c.window_tick_ms, 0, "windowed metrics are opt-in");
-        assert_eq!(c.window_capacity, 128);
         assert!(c.overload.is_none(), "overload control is opt-in");
         assert!(c.dequeue_batch >= 1, "batch dequeue must stay enabled");
         assert!(c.recorder.is_none(), "the flight recorder is opt-in");
@@ -452,8 +419,6 @@ mod tests {
             .with_span_capacity(256)
             .with_labeled_metrics(true)
             .with_label_cardinality(0)
-            .with_window_tick(Duration::from_micros(100))
-            .with_window_capacity(1)
             .with_dequeue_batch(0)
             .with_cost_attribution(64);
         assert_eq!(c.workers, 1, "worker count is clamped to at least 1");
@@ -471,8 +436,6 @@ mod tests {
         assert_eq!(c.span_capacity, 256);
         assert!(c.labeled_metrics);
         assert_eq!(c.label_cardinality, 1, "cardinality cap clamps to 1");
-        assert_eq!(c.window_tick_ms, 1, "sub-ms ticks clamp to 1ms");
-        assert_eq!(c.window_capacity, 2, "window ring clamps to 2 frames");
         assert_eq!(c.dequeue_batch, 1, "batch size is clamped to at least 1");
         assert_eq!(c.cost_sample_every, 64);
     }
@@ -501,8 +464,6 @@ mod tests {
             .with_span_capacity(512)
             .with_labeled_metrics(true)
             .with_label_cardinality(16)
-            .with_window_tick(Duration::from_secs(1))
-            .with_window_capacity(64)
             .with_cost_attribution(32);
         let json = serde_json::to_string(&c).unwrap();
         let back: BrokerConfig = serde_json::from_str(&json).unwrap();
@@ -523,6 +484,20 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let saved = json.replacen('{', "{\"trace_capacity\":8,", 1);
         assert!(saved.contains("\"trace_capacity\":8"));
+        let back: BrokerConfig = serde_json::from_str(&saved).unwrap();
+        assert_eq!(back, c);
+    }
+
+    #[test]
+    fn saved_config_with_window_keys_still_loads() {
+        // Configs saved while windowed metrics had their own frame ring
+        // carry `window_tick_ms` and `window_capacity`; both are ignored
+        // (the flight recorder's ring backs the windows now).
+        let c = BrokerConfig::default().with_flight_recorder(RecorderSettings::default());
+        let json = serde_json::to_string(&c).unwrap();
+        let saved = json.replacen('{', "{\"window_tick_ms\":1000,\"window_capacity\":128,", 1);
+        assert!(saved.contains("\"window_tick_ms\":1000"));
+        assert!(saved.contains("\"window_capacity\":128"));
         let back: BrokerConfig = serde_json::from_str(&saved).unwrap();
         assert_eq!(back, c);
     }

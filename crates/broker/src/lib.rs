@@ -91,5 +91,5 @@ pub use tep_matcher::{DegradedMatching, MatchDetail, PredicateExplanation, Relat
 pub use tep_obs::{
     render_spans_json, serve, span_tree, CostEntry, DiagnosticFrame, FlightRecorder,
     HistogramSnapshot, MetricsRegistry, RecorderConfig, ScrapeHandlers, ScrapeServer, SpanNode,
-    SpanRecord, StageStat, WindowedDelta,
+    SpanRecord, WindowedDelta,
 };

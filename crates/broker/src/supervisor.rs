@@ -237,15 +237,6 @@ pub(crate) fn supervisor_loop<M>(
         })
         .collect();
     let mut next_index = worker_count;
-    // Periodic window frames ride the supervisor's poll loop: zero extra
-    // threads, zero hot-path cost. The initial frame anchors the first
-    // windowed delta (the ring needs two frames to produce one).
-    let window_tick = (shared.config.window_tick_ms > 0)
-        .then(|| Duration::from_millis(shared.config.window_tick_ms));
-    let mut last_frame = Instant::now();
-    if window_tick.is_some() {
-        shared.window.push(shared.current_frame());
-    }
     // The load-state machine re-evaluates on the same poll loop: worst
     // observed queue fill (ingress or any subscriber channel) plus the
     // workers' queue-wait EWMA, every `tick_ms`.
@@ -255,12 +246,6 @@ pub(crate) fn supervisor_loop<M>(
         .map(|o| Duration::from_millis(o.config().tick_ms.max(1)));
     let mut last_overload = Instant::now();
     loop {
-        if let Some(tick) = window_tick {
-            if last_frame.elapsed() >= tick {
-                shared.window.push(shared.current_frame());
-                last_frame = Instant::now();
-            }
-        }
         if let Some(tick) = overload_tick {
             if last_overload.elapsed() >= tick {
                 let overload = shared.overload.as_ref().expect("tick implies controller");
@@ -279,13 +264,11 @@ pub(crate) fn supervisor_loop<M>(
                 last_overload = Instant::now();
             }
         }
-        // The recorder also ticks here so an idle broker (nothing being
-        // dequeued) keeps producing frames; the CAS claim means a busy
-        // broker's workers and this loop never double-record an interval.
+        // The recorder's one clock: frames (and so the windowed series)
+        // ride this poll loop — zero extra threads, nothing on the
+        // dispatch path, and an idle broker keeps producing frames.
         if let Some(recorder) = &shared.recorder {
-            let now = Instant::now();
-            if recorder.tick_due(now) {
-                recorder.tick(now, |w| shared.fill_frame(w));
+            if recorder.tick(Instant::now(), |w| shared.fill_frame(w)) {
                 // Quality drift is derived (no event fires when an alert
                 // appears), so poll it on the recorder's cadence; the
                 // per-kind cooldown keeps a persistent drift from
@@ -691,15 +674,6 @@ fn process_event<M>(
     let dequeued = Instant::now();
     let queue_wait_nanos = nanos_between(job.enqueued_at, dequeued);
     shard.stage.queue_wait.record_nanos(queue_wait_nanos);
-    // Flight-recorder tick, riding the dequeue timestamp already taken:
-    // one branch when off, one relaxed load + compare when not yet due,
-    // and an allocation-free frame write for the single claiming worker
-    // when due.
-    if let Some(recorder) = &shared.recorder {
-        if recorder.tick_due(dequeued) {
-            recorder.tick(dequeued, |w| shared.fill_frame(w));
-        }
-    }
     // Overload control (one branch when off): feed the queue-wait EWMA,
     // then decide whether this event is shed at dequeue and at what
     // fidelity the survivors are matched. Shed events still count as

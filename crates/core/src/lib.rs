@@ -73,8 +73,8 @@ pub mod prelude {
         HistogramSnapshot, LoadState, MatchExplanation, MatchOutcome, MetricsRegistry,
         Notification, OverloadConfig, PublishOptions, PublishPolicy, QualityOracle, QualityReport,
         RecorderConfig, RecorderSettings, RoutingPolicy, ScrapeHandlers, ScrapeServer, ShedReason,
-        SpanNode, SpanRecord, StageLatencies, StageStat, SubscribeOptions, SubscriberPolicy,
-        WindowedDelta, DEFAULT_COST_SAMPLE_EVERY,
+        SpanNode, SpanRecord, StageLatencies, SubscribeOptions, SubscriberPolicy, WindowedDelta,
+        DEFAULT_COST_SAMPLE_EVERY,
     };
     pub use tep_cep::{CepEngine, Detection, Pattern, Timestamped};
     pub use tep_corpus::{Corpus, CorpusConfig, CorpusGenerator};

@@ -23,15 +23,14 @@
 //! * [`serve`] / [`ScrapeHandlers`] — a single-threaded blocking HTTP
 //!   scrape server (std `TcpListener`) exposing `/metrics`, `/healthz`,
 //!   `/explain`, and (when installed) `/quality` and `/top`;
-//! * [`WindowRing`] / [`MetricsFrame`] — sliding-window aggregation
-//!   over periodic cumulative snapshots, turning forever-counters into
-//!   windowed rates and windowed percentiles;
 //! * [`TopKSketch`] — a concurrent space-saving sketch for the top-k
 //!   hottest themes/terms in bounded memory;
-//! * [`FlightRecorder`] / [`DiagnosticFrame`] — an always-on bounded
-//!   ring of periodic diagnostic frames that freezes into a JSON
-//!   diagnostic bundle (with a bounded on-disk spool) when a trigger
-//!   fires, so the evidence of an incident survives the incident;
+//! * [`FlightRecorder`] / [`DiagnosticFrame`] — a bounded ring of
+//!   periodic cumulative frames that freezes into a JSON diagnostic
+//!   bundle (with a bounded on-disk spool) when a trigger fires, so the
+//!   evidence of an incident survives the incident, and whose frame
+//!   differences ([`WindowedDelta`]) turn forever-counters into windowed
+//!   rates and windowed percentiles;
 //! * [`CounterFamily`] — labeled counter series under a hard
 //!   cardinality cap with an overflow bucket;
 //! * [`CostTable`] — a sharded exact cost-attribution table charging
@@ -54,16 +53,14 @@ mod ring;
 mod serve;
 mod span;
 mod topk;
-mod window;
 
 pub use cost::{CostEntry, CostTable, CostTotals};
 pub use dim::{CounterFamily, OVERFLOW_LABEL};
 pub use escape::{escape_json, is_valid_label_name, is_valid_metric_name};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
-pub use recorder::{DiagnosticFrame, FlightRecorder, FrameWriter, RecorderConfig, StageStat};
+pub use recorder::{DiagnosticFrame, FlightRecorder, FrameWriter, RecorderConfig, WindowedDelta};
 pub use registry::MetricsRegistry;
 pub use ring::BoundedRing;
 pub use serve::{serve, ScrapeHandlers, ScrapeServer};
 pub use span::{render_spans_json, span_tree, SpanCollector, SpanNode, SpanRecord};
 pub use topk::TopKSketch;
-pub use window::{MetricsFrame, WindowRing, WindowedDelta};

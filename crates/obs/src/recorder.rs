@@ -1,36 +1,43 @@
 //! The always-on flight recorder: a bounded ring of periodic
 //! [`DiagnosticFrame`]s that freezes into a self-contained JSON
-//! **diagnostic bundle** when a trigger fires.
+//! **diagnostic bundle** when a trigger fires, and whose cumulative
+//! frames also back the windowed metrics ([`FlightRecorder::window`]).
 //!
-//! The broker's volatile diagnostics (window frames, span rings,
-//! explanation rings, load state, breaker summaries) are each overwritten
-//! within seconds — precisely the horizon on which an incident is
-//! noticed. The recorder closes that gap like an aircraft flight
-//! recorder: it continuously captures cheap periodic frames into a
-//! preallocated ring, and when something goes wrong (a worker panic, a
-//! breaker trip, load-state entry into `Critical`, a quality-drift
-//! alert, or a manual `POST /debug/trigger`) it freezes the ring,
-//! assembles one JSON bundle carrying the frames *plus* the triggering
-//! cause and whatever context the embedder supplies, writes it to a
-//! bounded on-disk spool (`tep-diag-<seq>.json`, oldest evicted), and
-//! keeps the newest bundle in memory for `GET /debug/bundle`.
+//! The broker's volatile diagnostics (span rings, explanation rings,
+//! load state, breaker summaries) are each overwritten within seconds —
+//! precisely the horizon on which an incident is noticed. The recorder
+//! closes that gap like an aircraft flight recorder: it continuously
+//! captures cheap periodic frames into a preallocated ring, and when
+//! something goes wrong (a worker panic, a breaker trip, load-state
+//! entry into `Critical`, a quality-drift alert, or a manual
+//! `POST /debug/trigger`) it freezes the ring, assembles one JSON bundle
+//! carrying the frames *plus* the triggering cause and whatever context
+//! the embedder supplies, writes it to a bounded on-disk spool
+//! (`tep-diag-<seq>.json`, oldest evicted), and keeps the newest bundle
+//! in memory for `GET /debug/bundle`.
 //!
-//! Steady-state discipline, in the spirit of the broker's hot path:
+//! Each frame keeps every stage's *cumulative* [`HistogramSnapshot`], so
+//! the newest frame minus an older one is exactly what happened between
+//! them: windowed rates and windowed percentiles come from the same ring
+//! the bundles freeze, with no second snapshot mechanism.
 //!
-//! * [`FlightRecorder::tick_due`] is one relaxed atomic load plus an
-//!   `Instant` subtraction — cheap enough for the per-event dequeue path;
+//! Steady-state discipline:
+//!
+//! * a not-yet-due [`FlightRecorder::tick`] is one relaxed atomic load
+//!   plus an `Instant` subtraction;
 //! * when a tick is due, one caller claims it with a CAS; the frame is
 //!   written into a preallocated ring slot whose buffers are reused
-//!   (`Vec::clear` keeps capacity), so after the slots have warmed the
-//!   tick path performs **zero allocations**;
-//! * a tick that finds the ring locked (a bundle freeze in progress)
-//!   skips the frame rather than block a worker;
-//! * bundle assembly — the rare path — allocates freely.
+//!   (`Vec::clear` keeps capacity, stage histograms are refilled in
+//!   place), so after [`FlightRecorder::warm`] the tick path performs
+//!   **zero allocations**;
+//! * a tick that finds the ring locked (a bundle freeze or a window read
+//!   in progress) skips the frame rather than block its caller;
+//! * bundle assembly and window reads — the rare paths — allocate freely.
 //!
-//! The crate stays dependency-free: frames carry only names, numbers and
-//! reusable strings, and the embedder passes richer context (config
-//! fingerprint, span trees, explanations) as a pre-rendered JSON object
-//! at trigger time.
+//! The crate stays dependency-free: frames carry only names, numbers,
+//! histogram snapshots and reusable strings, and the embedder passes
+//! richer context (config fingerprint, span trees, explanations) as a
+//! pre-rendered JSON object at trigger time.
 
 use crate::escape::escape_json;
 use crate::hist::HistogramSnapshot;
@@ -76,21 +83,6 @@ impl Default for RecorderConfig {
     }
 }
 
-/// Fixed-size summary of one stage histogram inside a frame — the frame
-/// stores quantiles rather than bucket tables so a ring of frames stays
-/// small and the tick path stays allocation-free.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageStat {
-    /// Cumulative recorded values at frame time.
-    pub count: u64,
-    /// Estimated median, nanoseconds.
-    pub p50_ns: u64,
-    /// Estimated 99th percentile, nanoseconds.
-    pub p99_ns: u64,
-    /// Largest recorded value, nanoseconds.
-    pub max_ns: u64,
-}
-
 /// A reusable hot-theme slot inside a frame; the `String` keeps its
 /// capacity across frame resets.
 #[derive(Debug, Default)]
@@ -99,10 +91,27 @@ struct ThemeSlot {
     count: u64,
 }
 
+/// Writes `(name, count)` into the next pooled slot of `slots`, reusing
+/// its `String` when the pool already holds one.
+fn push_pooled(slots: &mut Vec<ThemeSlot>, len: &mut usize, name: &str, count: u64) {
+    match slots.get_mut(*len) {
+        Some(slot) => {
+            slot.name.clear();
+            slot.name.push_str(name);
+            slot.count = count;
+        }
+        None => slots.push(ThemeSlot {
+            name: name.to_string(),
+            count,
+        }),
+    }
+    *len += 1;
+}
+
 /// One periodic snapshot in the recorder ring: counters, gauges, static
-/// labels, per-stage latency summaries, and the hottest themes, all in
-/// reusable storage. Frames are written through a [`FrameWriter`] and
-/// read back from a rendered bundle.
+/// labels, cumulative per-stage histograms, and the hottest themes, all
+/// in reusable storage. Frames are written through a [`FrameWriter`] and
+/// read back from a rendered bundle or a [`WindowedDelta`].
 #[derive(Debug, Default)]
 pub struct DiagnosticFrame {
     seq: u64,
@@ -110,7 +119,11 @@ pub struct DiagnosticFrame {
     counters: Vec<(&'static str, u64)>,
     gauges: Vec<(&'static str, f64)>,
     labels: Vec<(&'static str, &'static str)>,
-    stages: Vec<(&'static str, StageStat)>,
+    /// Cumulative stage histograms, pooled like `themes`: each slot's
+    /// bucket table is allocated once and refilled in place.
+    stages: Vec<(&'static str, HistogramSnapshot)>,
+    /// Live prefix of `stages`.
+    stages_len: usize,
     themes: Vec<ThemeSlot>,
     /// Live prefix of `themes`; slots past it keep their capacity.
     themes_len: usize,
@@ -147,9 +160,23 @@ impl DiagnosticFrame {
         &self.labels
     }
 
-    /// The recorded stage summaries, in write order.
-    pub fn stages(&self) -> &[(&'static str, StageStat)] {
-        &self.stages
+    /// The recorded cumulative stage histograms, in write order.
+    pub fn stages(&self) -> &[(&'static str, HistogramSnapshot)] {
+        &self.stages[..self.stages_len]
+    }
+
+    fn counter(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+    }
+
+    fn stage(&self, name: &str) -> Option<&HistogramSnapshot> {
+        self.stages()
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| s)
     }
 
     /// Rewinds every section for the next write, keeping all capacity.
@@ -159,7 +186,7 @@ impl DiagnosticFrame {
         self.counters.clear();
         self.gauges.clear();
         self.labels.clear();
-        self.stages.clear();
+        self.stages_len = 0;
         self.themes_len = 0;
         self.costs_len = 0;
     }
@@ -193,16 +220,16 @@ impl DiagnosticFrame {
             );
         }
         out.push_str("}, \"stages\": [");
-        for (i, (name, s)) in self.stages.iter().enumerate() {
+        for (i, (name, s)) in self.stages().iter().enumerate() {
             let sep = if i > 0 { ", " } else { "" };
             let _ = write!(
                 out,
                 "{sep}{{\"stage\": \"{}\", \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
                 escape_json(name),
-                s.count,
-                s.p50_ns,
-                s.p99_ns,
-                s.max_ns
+                s.count(),
+                s.p50().as_nanos(),
+                s.p99().as_nanos(),
+                s.max().as_nanos()
             );
         }
         out.push_str("], \"themes\": [");
@@ -229,11 +256,9 @@ impl DiagnosticFrame {
     }
 }
 
-/// Write access to the frame being ticked, plus the ring's shared
-/// histogram scratch buffer for allocation-free stage summaries.
+/// Write access to the frame being ticked.
 pub struct FrameWriter<'a> {
     frame: &'a mut DiagnosticFrame,
-    scratch: &'a mut HistogramSnapshot,
 }
 
 impl fmt::Debug for FrameWriter<'_> {
@@ -261,59 +286,93 @@ impl FrameWriter<'_> {
         self.frame.labels.push((name, value));
     }
 
-    /// Records one stage summary: `fill` accumulates histogram counts
-    /// into the reusable scratch snapshot (cleared beforehand), and the
-    /// resulting quantiles are stored as a fixed-size [`StageStat`].
+    /// Records one cumulative stage histogram: `fill` accumulates counts
+    /// into the slot's pooled snapshot, cleared beforehand. Allocation-free
+    /// once the slot has held this many stages.
     pub fn stage(&mut self, name: &'static str, fill: impl FnOnce(&mut HistogramSnapshot)) {
-        self.scratch.clear();
-        fill(self.scratch);
-        let stat = StageStat {
-            count: self.scratch.count(),
-            p50_ns: self.scratch.p50().as_nanos() as u64,
-            p99_ns: self.scratch.p99().as_nanos() as u64,
-            max_ns: self.scratch.max().as_nanos() as u64,
-        };
-        self.frame.stages.push((name, stat));
+        let frame = &mut *self.frame;
+        if frame.stages_len == frame.stages.len() {
+            frame.stages.push((name, HistogramSnapshot::empty()));
+        }
+        let (slot_name, snap) = &mut frame.stages[frame.stages_len];
+        *slot_name = name;
+        snap.clear();
+        fill(snap);
+        frame.stages_len += 1;
     }
 
     /// Records one hot-theme entry, reusing a pooled `String` slot.
     /// Allocation-free once the slot pool has seen names at least this
     /// long.
     pub fn theme(&mut self, name: &str, count: u64) {
-        if self.frame.themes_len < self.frame.themes.len() {
-            let slot = &mut self.frame.themes[self.frame.themes_len];
-            slot.name.clear();
-            slot.name.push_str(name);
-            slot.count = count;
-        } else {
-            self.frame.themes.push(ThemeSlot {
-                name: name.to_string(),
-                count,
-            });
-        }
-        self.frame.themes_len += 1;
+        push_pooled(
+            &mut self.frame.themes,
+            &mut self.frame.themes_len,
+            name,
+            count,
+        );
     }
 
     /// Records one hot cost-attribution entry (`name`, sampled
     /// nanoseconds), reusing a pooled `String` slot like
     /// [`FrameWriter::theme`].
     pub fn cost(&mut self, name: &str, ns: u64) {
-        if self.frame.costs_len < self.frame.costs.len() {
-            let slot = &mut self.frame.costs[self.frame.costs_len];
-            slot.name.clear();
-            slot.name.push_str(name);
-            slot.count = ns;
-        } else {
-            self.frame.costs.push(ThemeSlot {
-                name: name.to_string(),
-                count: ns,
-            });
-        }
-        self.frame.costs_len += 1;
+        push_pooled(&mut self.frame.costs, &mut self.frame.costs_len, name, ns);
     }
 }
 
-/// The frame ring plus its shared scratch, behind one mutex.
+/// The difference between the newest frame and an older base frame:
+/// what happened *during* the window ([`FlightRecorder::window`]).
+#[derive(Debug, Clone)]
+pub struct WindowedDelta {
+    span: Duration,
+    counters: Vec<(&'static str, u64)>,
+    histograms: Vec<(&'static str, HistogramSnapshot)>,
+}
+
+impl WindowedDelta {
+    /// The time actually covered: at least the requested window, or less
+    /// when the ring holds no frame that old.
+    pub fn span(&self) -> Duration {
+        self.span
+    }
+
+    /// How much counter `name` grew during the window (`None` if the
+    /// newest frame does not carry it).
+    pub fn counter_delta(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+    }
+
+    /// Counter `name`'s per-second rate over the window.
+    pub fn rate(&self, name: &str) -> Option<f64> {
+        let secs = self.span.as_secs_f64();
+        self.counter_delta(name).map(|d| d as f64 / secs)
+    }
+
+    /// The stage histogram of values recorded during the window — feed
+    /// to `p50()`/`p95()`/`p99()` for windowed percentiles.
+    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+        self.histograms
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| s)
+    }
+
+    /// All counter deltas, in the newest frame's order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.counters.iter().copied()
+    }
+
+    /// All stage histogram deltas, in the newest frame's order.
+    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &HistogramSnapshot)> + '_ {
+        self.histograms.iter().map(|(n, s)| (*n, s))
+    }
+}
+
+/// The frame ring behind one mutex.
 struct FrameRing {
     slots: Vec<DiagnosticFrame>,
     /// Next slot to (over)write.
@@ -321,7 +380,6 @@ struct FrameRing {
     /// Occupied slots (grows to `slots.len()` and stays there).
     len: usize,
     next_seq: u64,
-    scratch: HistogramSnapshot,
 }
 
 impl FrameRing {
@@ -330,16 +388,13 @@ impl FrameRing {
         self.next_seq += 1;
         let frame = &mut self.slots[self.head];
         frame.reset(seq, at_ns);
-        fill(&mut FrameWriter {
-            frame,
-            scratch: &mut self.scratch,
-        });
+        fill(&mut FrameWriter { frame });
         self.head = (self.head + 1) % self.slots.len();
         self.len = (self.len + 1).min(self.slots.len());
     }
 
     /// Occupied slots, oldest first.
-    fn iter_oldest_first(&self) -> impl Iterator<Item = &DiagnosticFrame> {
+    fn iter_oldest_first(&self) -> impl DoubleEndedIterator<Item = &DiagnosticFrame> {
         let start = (self.head + self.slots.len() - self.len) % self.slots.len();
         (0..self.len).map(move |i| &self.slots[(start + i) % self.slots.len()])
     }
@@ -394,7 +449,7 @@ impl FlightRecorder {
     /// Builds a recorder with preallocated (but cold) frame slots. Slot
     /// buffers grow on their first write; embedders that need the
     /// zero-allocation guarantee from the very first measured event
-    /// should warm every slot once via [`FlightRecorder::force_tick`].
+    /// should call [`FlightRecorder::warm`] once.
     pub fn new(mut config: RecorderConfig) -> FlightRecorder {
         config.frame_capacity = config.frame_capacity.max(2);
         config.tick_interval = config.tick_interval.max(Duration::from_millis(1));
@@ -414,7 +469,6 @@ impl FlightRecorder {
                 head: 0,
                 len: 0,
                 next_seq: 0,
-                scratch: HistogramSnapshot::empty(),
             }),
             triggers: Mutex::new(TriggerState {
                 last_fire: Vec::with_capacity(8),
@@ -438,18 +492,19 @@ impl FlightRecorder {
         now.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
-    /// Whether a periodic frame is due — one relaxed load plus an
-    /// `Instant` subtraction, cheap enough for the per-event dequeue
-    /// path. `now` is the caller's already-taken timestamp, so the check
-    /// adds no clock read.
-    #[inline]
-    pub fn tick_due(&self, now: Instant) -> bool {
-        self.now_ns(now) >= self.next_due_ns.load(Ordering::Relaxed)
+    /// The time the full ring spans: `frame_capacity × tick_interval`.
+    /// A window longer than this cannot be read from the ring.
+    pub fn horizon(&self) -> Duration {
+        let frames = u32::try_from(self.config.frame_capacity).unwrap_or(u32::MAX);
+        self.config.tick_interval.saturating_mul(frames)
     }
 
-    /// Claims the due tick (CAS; at most one winner per interval) and
-    /// records a frame via `fill`. Returns whether a frame was recorded.
-    /// A freeze in progress (ring locked) forfeits the frame instead of
+    /// Records a frame via `fill` if one is due at `now`, claiming the
+    /// interval with a CAS so concurrent callers record at most one
+    /// frame per interval. Returns whether a frame was recorded: `false`
+    /// when not yet due (one relaxed load and a compare), when another
+    /// caller claimed the interval, or when a bundle freeze or window
+    /// read holds the ring — the frame is then forfeited rather than
     /// blocking the caller.
     pub fn tick(&self, now: Instant, fill: impl FnOnce(&mut FrameWriter<'_>)) -> bool {
         let now_ns = self.now_ns(now);
@@ -466,7 +521,7 @@ impl FlightRecorder {
             return false; // another thread claimed this interval
         }
         let Ok(mut ring) = self.ring.try_lock() else {
-            return false; // bundle freeze in progress; skip, don't block
+            return false; // freeze or window read in progress; don't block
         };
         ring.write_frame(now_ns, fill);
         self.frames_recorded.fetch_add(1, Ordering::Relaxed);
@@ -474,13 +529,71 @@ impl FlightRecorder {
     }
 
     /// Records a frame unconditionally — no due check, no claim, blocks
-    /// on the ring lock. For deterministic tests and for warming every
-    /// slot's buffers at start-up so the steady-state tick path never
-    /// allocates.
+    /// on the ring lock. For deterministic frame boundaries.
     pub fn force_tick(&self, fill: impl FnOnce(&mut FrameWriter<'_>)) {
         let now_ns = self.now_ns(Instant::now());
         lock_unpoisoned(&self.ring).write_frame(now_ns, fill);
         self.frames_recorded.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Writes every ring slot once with `fill`, then rewinds the ring:
+    /// the slots' buffers keep this frame shape's capacity, so later
+    /// ticks never allocate, but no warm-up frame is left behind to pass
+    /// for history. Afterwards [`FlightRecorder::frames`] is 0 and the
+    /// next frame is seq 0.
+    pub fn warm(&self, mut fill: impl FnMut(&mut FrameWriter<'_>)) {
+        let mut ring = lock_unpoisoned(&self.ring);
+        for _ in 0..ring.slots.len() {
+            ring.write_frame(0, &mut fill);
+        }
+        ring.head = 0;
+        ring.len = 0;
+        ring.next_seq = 0;
+    }
+
+    /// The delta over (approximately) the last `span`: the newest frame
+    /// minus the youngest frame at least `span` older than it. When no
+    /// frame is that old the oldest is used, and [`WindowedDelta::span`]
+    /// reports the shorter coverage. `None` until two frames exist, or
+    /// when they share a timestamp.
+    pub fn window(&self, span: Duration) -> Option<WindowedDelta> {
+        let ring = lock_unpoisoned(&self.ring);
+        if ring.len < 2 {
+            return None;
+        }
+        let mut frames = ring.iter_oldest_first();
+        let newest = frames.next_back()?;
+        let oldest = frames.next()?;
+        let span_ns = span.as_nanos() as u64;
+        let base = frames
+            .rev()
+            .find(|f| newest.at_ns.saturating_sub(f.at_ns) >= span_ns)
+            .unwrap_or(oldest);
+        let covered = newest.at_ns.saturating_sub(base.at_ns);
+        if covered == 0 {
+            return None;
+        }
+        let counters = newest
+            .counters
+            .iter()
+            .map(|&(name, now)| (name, now.saturating_sub(base.counter(name).unwrap_or(0))))
+            .collect();
+        let histograms = newest
+            .stages()
+            .iter()
+            .map(|(name, now)| {
+                let delta = match base.stage(name) {
+                    Some(then) => now.delta_since(then),
+                    None => now.clone(),
+                };
+                (*name, delta)
+            })
+            .collect();
+        Some(WindowedDelta {
+            span: Duration::from_nanos(covered),
+            counters,
+            histograms,
+        })
     }
 
     /// Occupied ring slots (saturates at the frame capacity).
@@ -641,10 +754,10 @@ mod tests {
             tick_interval: Duration::from_secs(3600),
             ..RecorderConfig::default()
         });
-        let now = Instant::now();
-        assert!(rec.tick_due(now), "a fresh recorder is immediately due");
-        assert!(rec.tick(now, fill_basic));
-        assert!(!rec.tick_due(Instant::now()));
+        assert!(
+            rec.tick(Instant::now(), fill_basic),
+            "a fresh recorder is immediately due"
+        );
         assert!(
             !rec.tick(Instant::now(), fill_basic),
             "the interval was claimed"
@@ -799,8 +912,132 @@ mod tests {
         let ring = lock_unpoisoned(&rec.ring);
         for frame in ring.slots.iter() {
             assert!(frame.counters.capacity() >= 1);
+            assert_eq!(frame.stages.len(), 1, "stage slots are pooled, not dropped");
             assert_eq!(frame.themes.len(), 1, "theme slots are pooled, not dropped");
             assert_eq!(frame.costs.len(), 1, "cost slots are pooled, not dropped");
         }
+    }
+
+    #[test]
+    fn warm_up_leaves_no_frames_but_keeps_the_buffers() {
+        let rec = FlightRecorder::new(RecorderConfig {
+            frame_capacity: 4,
+            ..RecorderConfig::default()
+        });
+        rec.warm(fill_basic);
+        assert_eq!(rec.frames(), 0, "warm-up copies are not history");
+        assert_eq!(rec.frames_recorded(), 0);
+        assert!(rec.tick(Instant::now(), fill_basic));
+        assert_eq!(rec.frames(), 1);
+        let ring = lock_unpoisoned(&rec.ring);
+        let seqs: Vec<u64> = ring.iter_oldest_first().map(|f| f.seq).collect();
+        assert_eq!(seqs, [0], "the first real frame is seq 0");
+        for frame in ring.slots.iter() {
+            assert!(frame.counters.capacity() >= 1, "counters kept capacity");
+            assert_eq!(frame.stages.len(), 1, "stage buffer kept");
+            assert_eq!(frame.themes.len(), 1, "theme slot kept");
+            assert_eq!(frame.costs.len(), 1, "cost slot kept");
+        }
+    }
+
+    /// Ticks `rec` at `at` with a frame carrying a cumulative `published`
+    /// counter and a `match` stage holding `latencies_us`.
+    fn tick_frame_at(rec: &FlightRecorder, at: Instant, published: u64, latencies_us: &[u64]) {
+        let hist = LatencyHistogram::new();
+        for us in latencies_us {
+            hist.record_nanos(us * 1_000);
+        }
+        assert!(
+            rec.tick(at, |w| {
+                w.counter("published", published);
+                w.stage("match", |snap| hist.accumulate_into(snap));
+            }),
+            "tick at an explicit instant is due"
+        );
+    }
+
+    fn window_recorder(frame_capacity: usize, tick_secs: u64) -> FlightRecorder {
+        FlightRecorder::new(RecorderConfig {
+            frame_capacity,
+            tick_interval: Duration::from_secs(tick_secs),
+            ..RecorderConfig::default()
+        })
+    }
+
+    #[test]
+    fn windowed_rates_and_percentiles_from_cumulative_frames() {
+        let rec = window_recorder(16, 10);
+        let t0 = Instant::now();
+        // Cumulative: 0 events at t0, 100 at +10s, 700 at +20s.
+        tick_frame_at(&rec, t0, 0, &[]);
+        tick_frame_at(&rec, t0 + Duration::from_secs(10), 100, &[10, 20]);
+        tick_frame_at(
+            &rec,
+            t0 + Duration::from_secs(20),
+            700,
+            &[10, 20, 5_000, 5_000, 5_000],
+        );
+        // Last 10s: 600 events → 60 ev/s; three 5ms latencies recorded.
+        let w = rec.window(Duration::from_secs(10)).unwrap();
+        assert_eq!(w.span(), Duration::from_secs(10));
+        assert_eq!(w.counter_delta("published"), Some(600));
+        assert!((w.rate("published").unwrap() - 60.0).abs() < 1e-9);
+        let h = w.histogram("match").unwrap();
+        assert_eq!(h.count(), 3);
+        assert!(h.p50() >= Duration::from_micros(5_000));
+        // Last 60s falls back to the oldest frame: 700 events over 20s.
+        let w = rec.window(Duration::from_secs(60)).unwrap();
+        assert_eq!(w.span(), Duration::from_secs(20));
+        assert_eq!(w.counter_delta("published"), Some(700));
+        assert!((w.rate("published").unwrap() - 35.0).abs() < 1e-9);
+        assert_eq!(w.histogram("match").unwrap().count(), 5);
+    }
+
+    #[test]
+    fn needs_two_frames() {
+        let rec = window_recorder(8, 1);
+        assert!(rec.window(Duration::from_secs(10)).is_none());
+        tick_frame_at(&rec, Instant::now(), 5, &[]);
+        assert!(rec.window(Duration::from_secs(10)).is_none());
+        assert_eq!(rec.frames(), 1);
+    }
+
+    #[test]
+    fn capacity_evicts_oldest_and_time_only_moves_forward() {
+        let rec = window_recorder(2, 1);
+        let t0 = Instant::now();
+        tick_frame_at(&rec, t0, 1, &[]);
+        tick_frame_at(&rec, t0 + Duration::from_secs(1), 2, &[]);
+        tick_frame_at(&rec, t0 + Duration::from_secs(2), 3, &[]);
+        assert_eq!(rec.frames(), 2, "capacity 2 keeps only the newest two");
+        // An earlier instant is never due again.
+        assert!(!rec.tick(t0, |w| w.counter("published", 99)));
+        assert_eq!(rec.frames(), 2);
+        let w = rec.window(Duration::from_secs(60)).unwrap();
+        assert_eq!(w.counter_delta("published"), Some(1), "3 - 2");
+    }
+
+    #[test]
+    fn counters_missing_from_the_base_frame_count_from_zero() {
+        let rec = window_recorder(4, 5);
+        let t0 = Instant::now();
+        assert!(rec.tick(t0, |_| {}));
+        tick_frame_at(&rec, t0 + Duration::from_secs(5), 40, &[7]);
+        let w = rec.window(Duration::from_secs(5)).unwrap();
+        assert_eq!(w.counter_delta("published"), Some(40));
+        assert_eq!(w.histogram("match").unwrap().count(), 1);
+        assert_eq!(w.counters().count(), 1);
+        assert_eq!(w.histograms().count(), 1);
+        assert!(w.counter_delta("absent").is_none());
+        assert!(w.rate("absent").is_none());
+    }
+
+    #[test]
+    fn horizon_is_capacity_times_tick() {
+        assert_eq!(
+            FlightRecorder::new(RecorderConfig::default()).horizon(),
+            Duration::from_secs(16)
+        );
+        assert_eq!(window_recorder(256, 1).horizon(), Duration::from_secs(256));
     }
 }

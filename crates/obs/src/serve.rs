@@ -66,7 +66,6 @@ struct Route {
 /// endpoints.
 pub struct ScrapeHandlers {
     routes: Vec<Route>,
-    refresh: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
 /// Wraps an infallible body producer as an always-200 route handler.
@@ -105,18 +104,7 @@ impl ScrapeHandlers {
                     respond: ok(explain),
                 },
             ],
-            refresh: None,
         }
-    }
-
-    /// Installs a pre-scrape refresh hook, run before each `/metrics`
-    /// body is produced. Embedders use this to advance lazily-maintained
-    /// state — e.g. pushing a fresh windowed-rate frame — so a scrape
-    /// after an idle stretch reports current numbers instead of the last
-    /// frame some past activity happened to leave behind.
-    pub fn with_refresh(mut self, refresh: impl Fn() + Send + Sync + 'static) -> ScrapeHandlers {
-        self.refresh = Some(Box::new(refresh));
-        self
     }
 
     /// Installs the `/quality` body producer (JSON).
@@ -356,11 +344,6 @@ fn handle_connection(stream: &mut TcpStream, handlers: &ScrapeHandlers) -> io::R
         .iter()
         .find(|r| r.path == path && r.method == method)
     {
-        if route.path == "/metrics" {
-            if let Some(refresh) = &handlers.refresh {
-                refresh();
-            }
-        }
         let (status, body) = (route.respond)();
         (status, route.content_type, body)
     } else if handlers.routes.iter().any(|r| r.path == path) {
@@ -598,36 +581,6 @@ mod tests {
         let found = get(addr, "/debug/bundle");
         assert!(found.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(found.ends_with("{\"bundle_seq\": 0}"));
-        server.shutdown();
-    }
-
-    #[test]
-    fn refresh_hook_runs_before_each_metrics_scrape_only() {
-        use std::sync::atomic::AtomicUsize;
-        let refreshed = Arc::new(AtomicUsize::new(0));
-        let observed = Arc::clone(&refreshed);
-        let counter = Arc::clone(&refreshed);
-        let server = serve(
-            "127.0.0.1:0",
-            ScrapeHandlers::new(
-                move || format!("refreshes {}\n", observed.load(Ordering::SeqCst)),
-                || "{}".to_string(),
-                || "[]".to_string(),
-            )
-            .with_refresh(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            }),
-        )
-        .expect("bind ephemeral port");
-        let addr = server.local_addr();
-        // The hook runs before the body producer, so the first scrape
-        // already sees its effect.
-        assert!(get(addr, "/metrics").ends_with("refreshes 1\n"));
-        assert!(get(addr, "/metrics").ends_with("refreshes 2\n"));
-        // Other endpoints never trigger it.
-        let _ = get(addr, "/healthz");
-        let _ = get(addr, "/explain");
-        assert_eq!(refreshed.load(Ordering::SeqCst), 2);
         server.shutdown();
     }
 

@@ -65,8 +65,8 @@ impl fmt::Debug for TopKSketch {
 }
 
 impl TopKSketch {
-    /// A sketch with `capacity` slots (clamped to at least
-    /// [`PROBE_WINDOW`]). Size it at 2–4× the `k` you intend to query:
+    /// A sketch with `capacity` slots (clamped to at least the 8-slot
+    /// probe window). Size it at 2–4× the `k` you intend to query:
     /// space-saving's count error shrinks with spare slots.
     pub fn new(capacity: usize) -> TopKSketch {
         let capacity = capacity.max(PROBE_WINDOW);

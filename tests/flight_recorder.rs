@@ -91,7 +91,7 @@ fn assert_bundle_schema(bundle: &str, expected_kind: &str) -> String {
         .expect("frames array");
     assert!(
         !frames.is_empty(),
-        "a warmed recorder always has pre-trigger frames"
+        "the start-up frame precedes every trigger"
     );
     for frame in frames {
         let frame = frame.as_map().expect("frame object");

@@ -910,49 +910,35 @@ fn scrape_endpoints_serve_metrics_health_and_explanations() {
     b.close();
 }
 
-/// Regression test: concurrent `/metrics` scrapes racing the lazy window
-/// refresh must push at most one frame per min-interval — the guard is a
-/// mutex over the last-tick instant, so a scrape storm cannot flood the
-/// window ring with near-identical frames.
+/// Windowed series are ticked by the supervisor alone, so they stay
+/// current with no scrape at all: after traffic stops and an idle gap,
+/// a short window shows no traffic while a long one still covers it.
 #[test]
-fn concurrent_lazy_ticks_push_at_most_one_frame_per_interval() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
-
-    let b = Arc::new(exact_broker(BrokerConfig::default().with_workers(1)));
-    let interval = Duration::from_millis(200);
-    let race = |broker: &Arc<Broker>| {
-        let threads = 8;
-        let barrier = Arc::new(Barrier::new(threads));
-        let ticked = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let broker = Arc::clone(broker);
-                let barrier = Arc::clone(&barrier);
-                let ticked = Arc::clone(&ticked);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    // Each racer scrapes several times, like a storm of
-                    // overlapping Prometheus pollers.
-                    for _ in 0..4 {
-                        if broker.tick_window_if_stale(interval) {
-                            ticked.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        ticked.load(Ordering::Relaxed)
-    };
-
-    assert_eq!(race(&b), 1, "first storm ticks exactly once");
-    assert_eq!(race(&b), 0, "second storm inside the interval never ticks");
-    std::thread::sleep(interval + Duration::from_millis(50));
-    assert_eq!(race(&b), 1, "a stale window ticks exactly once more");
-    b.close();
+fn windowed_rates_go_quiet_after_an_idle_gap_without_any_scrape() {
+    let b = exact_broker(
+        BrokerConfig::default()
+            .with_workers(1)
+            .with_flight_recorder(RecorderSettings {
+                tick_ms: 5,
+                ..RecorderSettings::default()
+            }),
+    );
+    let (_, rx) = b.subscribe(parse_subscription("{k= v}").unwrap()).unwrap();
+    for i in 0..5 {
+        b.publish(parse_event(&format!("{{k: v, i: n{i}}}")).unwrap())
+            .unwrap();
+    }
+    b.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let quiet = b
+        .window(Duration::from_millis(50))
+        .expect("supervisor frames");
+    assert!(quiet.span() >= Duration::from_millis(50), "{quiet:?}");
+    assert_eq!(quiet.counter_delta("published"), Some(0), "{quiet:?}");
+    let busy = b.window(Duration::from_secs(10)).expect("start-up frame");
+    assert_eq!(busy.counter_delta("published"), Some(5), "{busy:?}");
+    assert_eq!(rx.try_iter().count(), 5);
+    b.shutdown();
 }
 
 /// Satellite check: every installed scrape endpoint survives a storm of
@@ -1015,12 +1001,16 @@ fn concurrent_scrapes_of_all_endpoints_under_publish_load() {
 
     // Publish load for the whole scrape storm: a background writer keeps
     // the cost tables, stage histograms, and windowed rates moving while
-    // the scrapers read them.
+    // the scrapers read them. It drains the subscriber as it goes: the
+    // storm lasts as long as the scrapes take, and an undrained channel
+    // would cross the overload controller's fill threshold after ~9k
+    // events and turn `/readyz` into a (correct) 503.
     let stop = Arc::new(AtomicBool::new(false));
     let publisher = {
         let (b, stop) = (Arc::clone(&b), Arc::clone(&stop));
         std::thread::spawn(move || {
             let mut i = 0u64;
+            let mut delivered = 0;
             while !stop.load(Ordering::Relaxed) {
                 let k = if i.is_multiple_of(3) { "v" } else { "w" };
                 b.publish(parse_event(&format!("{{k: {k}, i: n{i}}}")).unwrap())
@@ -1028,9 +1018,11 @@ fn concurrent_scrapes_of_all_endpoints_under_publish_load() {
                 i += 1;
                 if i.is_multiple_of(64) {
                     let _ = b.flush();
+                    delivered += rx.try_iter().count();
                 }
             }
             let _ = b.flush();
+            delivered + rx.try_iter().count()
         })
     };
 
@@ -1096,11 +1088,11 @@ fn concurrent_scrapes_of_all_endpoints_under_publish_load() {
         s.join().expect("a scraper thread panicked");
     }
     stop.store(true, Ordering::Relaxed);
-    publisher.join().expect("the publisher thread panicked");
+    let delivered = publisher.join().expect("the publisher thread panicked");
 
     // The storm really ran against live state: traffic flowed and the
     // cost table attributed it.
-    assert!(rx.try_iter().count() > 0, "publish load delivered");
+    assert!(delivered > 0, "publish load delivered");
     let costs = b.costs();
     assert!(costs.enabled && costs.samples > 0, "cost attribution ran");
     server.shutdown();

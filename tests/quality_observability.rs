@@ -151,7 +151,7 @@ fn quality_report_surfaces_in_metrics_and_json() {
 #[test]
 fn disabled_quality_and_dimensions_stay_inert() {
     let (_, subs, events) = workload_slice(4, 64);
-    // Default config: no oracle, no labeled metrics, no window tick —
+    // Default config: no oracle, no labeled metrics, no recorder —
     // the observability tentpole must cost nothing and export nothing
     // unless asked for.
     let broker = Broker::start(
@@ -169,7 +169,10 @@ fn disabled_quality_and_dimensions_stay_inert() {
 
     assert!(broker.quality().is_none(), "no oracle was installed");
     assert!(broker.top_themes(5).is_empty(), "top-k sketch is off");
-    assert!(broker.window(Duration::from_secs(10)).is_none(), "no ticks");
+    assert!(
+        broker.window(Duration::from_secs(10)).is_none(),
+        "no recorder"
+    );
     let prom = broker.metrics().render_prometheus();
     for series in [
         "tep_quality_",
@@ -199,27 +202,25 @@ fn enabled_dimensions_export_labeled_windowed_and_queue_series() {
         BrokerConfig::default()
             .with_workers(2)
             .with_labeled_metrics(true)
-            .with_label_cardinality(8),
+            .with_label_cardinality(8)
+            .with_flight_recorder(RecorderSettings::default()),
     )
     .with_quality_sampling(1, Box::new(oracle));
     let _receivers: Vec<_> = subs
         .iter()
         .map(|s| broker.subscribe(s.clone()).expect("subscribe").1)
         .collect();
-    broker.tick_window();
     for e in &events {
         broker
             .publish(e.clone().with_theme_tags(tags.clone()))
             .expect("publish");
     }
     broker.flush_timeout(FLUSH).expect("flush");
-    broker.tick_window();
+    broker.record_diagnostic_frame();
 
+    // The base is the broker's start-up frame.
     let window = broker.window(Duration::from_secs(10)).expect("two frames");
-    assert_eq!(
-        window.counter_delta("tep_published_total"),
-        Some(events.len() as u64)
-    );
+    assert_eq!(window.counter_delta("published"), Some(events.len() as u64));
     let top = broker.top_themes(5);
     assert!(
         top.iter().any(|(name, _)| name == "power"),
