@@ -21,7 +21,9 @@
 #[path = "../counting_alloc.rs"]
 mod counting_alloc;
 
+use serde::Serialize;
 use std::sync::{Arc, RwLock};
+use tep::broker::json_document;
 use tep::prelude::{render_explanations_json, render_quality_json, serve, Broker, ScrapeHandlers};
 use tep::thesaurus::{Domain, Thesaurus};
 use tep_bench::costgate::CostGateConfig;
@@ -153,6 +155,23 @@ fn main() {
 /// themselves in as they start; the handlers read whatever is live.
 type BrokerSlot = Arc<RwLock<Option<Arc<Broker>>>>;
 
+/// The `/healthz` body while a scenario is live.
+#[derive(Serialize)]
+struct HealthJson {
+    status: &'static str,
+    live_workers: u64,
+    quarantined: u64,
+    processed: u64,
+    published: u64,
+}
+
+/// The `POST /debug/trigger` body when a bundle was frozen.
+#[derive(Serialize)]
+struct TriggeredJson {
+    triggered: bool,
+    bundle_seq: u64,
+}
+
 fn scrape_handlers(slot: &BrokerSlot) -> ScrapeHandlers {
     let metrics_slot = Arc::clone(slot);
     let health_slot = Arc::clone(slot);
@@ -172,10 +191,13 @@ fn scrape_handlers(slot: &BrokerSlot) -> ScrapeHandlers {
         move || match health_slot.read().unwrap().as_ref() {
             Some(b) => {
                 let stats = b.stats();
-                format!(
-                    "{{\"status\":\"ok\",\"live_workers\":{},\"quarantined\":{},\"processed\":{},\"published\":{}}}\n",
-                    stats.live_workers, stats.quarantined, stats.processed, stats.published,
-                )
+                json_document(&HealthJson {
+                    status: "ok",
+                    live_workers: stats.live_workers,
+                    quarantined: stats.quarantined,
+                    processed: stats.processed,
+                    published: stats.published,
+                })
             }
             None => String::from("{\"status\":\"idle\"}\n"),
         },
@@ -221,7 +243,10 @@ fn scrape_handlers(slot: &BrokerSlot) -> ScrapeHandlers {
     })
     .with_trigger(move || match trigger_slot.read().unwrap().as_ref() {
         Some(b) => match b.trigger_diagnostic("manual trigger via POST /debug/trigger") {
-            Some(seq) => format!("{{\"triggered\":true,\"bundle_seq\":{seq}}}\n"),
+            Some(bundle_seq) => json_document(&TriggeredJson {
+                triggered: true,
+                bundle_seq,
+            }),
             None => String::from(
                 "{\"triggered\":false,\"reason\":\"no recorder installed or trigger cooling down\"}\n",
             ),

@@ -24,6 +24,7 @@
 use std::sync::Arc;
 
 use serde::Serialize;
+use tep::broker::json_document;
 use tep::prelude::{BrokerConfig, Event, ExactMatcher, Subscription, DEFAULT_COST_SAMPLE_EVERY};
 
 use crate::harness::{
@@ -132,7 +133,6 @@ impl CostGateResult {
     /// error that is not finite (a stage sum of zero) renders as `null`;
     /// its violation is still listed.
     pub fn render_json(&self) -> String {
-        let finite = |x: f64| x.is_finite().then_some(x);
         let report = CostGateReport {
             baseline_events_per_sec: self.baseline_events_per_sec,
             cost_events_per_sec: self.cost_events_per_sec,
@@ -142,13 +142,13 @@ impl CostGateResult {
             steady_allocs_on: self.steady_allocs_on,
             extra_allocs: self.extra_allocs(),
             samples: self.samples,
-            reconcile_error_match: finite(self.reconcile_error_match),
-            reconcile_error_deliver: finite(self.reconcile_error_deliver),
+            reconcile_error_match: self.reconcile_error_match,
+            reconcile_error_deliver: self.reconcile_error_deliver,
             k1_exact: self.k1_exact,
             violations: self.violations.clone(),
             passed: self.passed(),
         };
-        serde_json::to_string_pretty(&report).expect("cost-gate figures are finite") + "\n"
+        json_document(&report)
     }
 }
 
@@ -163,8 +163,8 @@ struct CostGateReport {
     steady_allocs_on: u64,
     extra_allocs: u64,
     samples: u64,
-    reconcile_error_match: Option<f64>,
-    reconcile_error_deliver: Option<f64>,
+    reconcile_error_match: f64,
+    reconcile_error_deliver: f64,
     k1_exact: bool,
     violations: Vec<String>,
     passed: bool,

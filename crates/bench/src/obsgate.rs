@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 
 use serde::{value_get, Serialize};
 use serde_json::JsonValue;
+use tep::broker::json_document;
 use tep::prelude::{
     parse_event, Broker, BrokerConfig, Event, ExactMatcher, LoadState, MatchResult, Matcher,
     OverloadConfig, RecorderSettings, Subscription,
@@ -149,7 +150,7 @@ impl ObsGateResult {
             violations: self.violations.clone(),
             passed: self.passed(),
         };
-        serde_json::to_string_pretty(&report).expect("obs-gate figures are finite") + "\n"
+        json_document(&report)
     }
 }
 

@@ -10,8 +10,11 @@
 //! stopped. The recovery clock is the headline: an overload controller
 //! that degrades but never recovers is just a slower outage.
 
+use serde::Serialize;
+use serde_json::JsonValue;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tep::broker::json_document;
 use tep::prelude::*;
 
 use crate::throughput::ScenarioObserver;
@@ -25,7 +28,7 @@ const FLUSH_DEADLINE: Duration = Duration::from_secs(120);
 const RECOVERY_DEADLINE: Duration = Duration::from_secs(30);
 
 /// One observed load-state change, stamped relative to the first publish.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StateSample {
     /// Milliseconds since the storm's first publish.
     pub at_ms: f64,
@@ -33,17 +36,9 @@ pub struct StateSample {
     pub state: String,
 }
 
-impl StateSample {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"at_ms\":{:.3},\"state\":\"{}\"}}",
-            self.at_ms, self.state
-        )
-    }
-}
-
-/// The measured outcome of the overload storm.
-#[derive(Debug, Clone, PartialEq)]
+/// The measured outcome of the overload storm, in `BENCH_overload.json`
+/// key order.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OverloadStormResult {
     /// Scenario name (stable identifier, used as the JSON key).
     pub name: String,
@@ -55,8 +50,6 @@ pub struct OverloadStormResult {
     pub peak_state: String,
     /// Whether the storm drove the machine all the way to `Critical`.
     pub reached_critical: bool,
-    /// Load-state changes observed while polling (storm + recovery).
-    pub timeline: Vec<StateSample>,
     /// State transitions counted by the controller itself.
     pub transitions: u64,
     /// Events shed because their publish deadline had expired.
@@ -79,43 +72,11 @@ pub struct OverloadStormResult {
     pub recovery_ms: f64,
     /// The state observed when polling stopped.
     pub final_state: String,
+    /// Load-state changes observed while polling (storm + recovery).
+    pub timeline: Vec<StateSample>,
 }
 
 impl OverloadStormResult {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"events_published\":{},\"storm_secs\":{:.6},",
-                "\"peak_state\":\"{}\",\"reached_critical\":{},\"transitions\":{},",
-                "\"shed_deadline\":{},\"shed_load\":{},\"breaker_trips\":{},",
-                "\"breaker_open_drops\":{},\"dropped_full\":{},\"processed\":{},",
-                "\"notifications\":{},\"recovered\":{},\"recovery_ms\":{:.3},",
-                "\"final_state\":\"{}\",\"timeline\":[{}]}}"
-            ),
-            self.name,
-            self.events_published,
-            self.storm_secs,
-            self.peak_state,
-            self.reached_critical,
-            self.transitions,
-            self.shed_deadline,
-            self.shed_load,
-            self.breaker_trips,
-            self.breaker_open_drops,
-            self.dropped_full,
-            self.processed,
-            self.notifications,
-            self.recovered,
-            self.recovery_ms,
-            self.final_state,
-            self.timeline
-                .iter()
-                .map(StateSample::to_json)
-                .collect::<Vec<_>>()
-                .join(","),
-        )
-    }
-
     /// One human-readable summary line.
     pub fn summary(&self) -> String {
         format!(
@@ -134,7 +95,15 @@ impl OverloadStormResult {
 
 /// Renders the storm result as the `BENCH_overload.json` document.
 pub fn render_json(result: &OverloadStormResult) -> String {
-    format!("{{\n  \"storm\": {}\n}}\n", result.to_json())
+    json_document(&OverloadJson {
+        storm: result.clone(),
+    })
+}
+
+/// The `BENCH_overload.json` document.
+#[derive(Serialize)]
+struct OverloadJson {
+    storm: OverloadStormResult,
 }
 
 /// Runs the adversarial overload storm and measures escalation, shedding,
@@ -254,17 +223,9 @@ pub fn run_overload_storm(observer: &ScenarioObserver) -> OverloadStormResult {
     let final_state = sample(&broker, &mut timeline, &mut peak);
 
     let stats = broker.stats();
-    let transitions = broker
-        .overload_json()
-        .lines()
-        .find_map(|l| {
-            l.trim()
-                .strip_prefix("\"transitions\": ")?
-                .trim_end_matches(',')
-                .parse::<u64>()
-                .ok()
-        })
-        .unwrap_or(0);
+    let overload: JsonValue =
+        serde_json::from_str(&broker.overload_json()).expect("the /overload body is JSON");
+    let transitions = overload.get("transitions").and_then(JsonValue::as_u64);
     drop(receivers);
     broker.close();
 
@@ -275,7 +236,7 @@ pub fn run_overload_storm(observer: &ScenarioObserver) -> OverloadStormResult {
         peak_state: peak.as_str().to_string(),
         reached_critical: peak == LoadState::Critical,
         timeline,
-        transitions,
+        transitions: transitions.unwrap_or(0),
         shed_deadline: stats.shed_deadline,
         shed_load: stats.shed_load,
         breaker_trips: stats.breaker_trips,

@@ -12,8 +12,10 @@
 //! they are exactly equal. `ci/perf_gate.sh` holds the gate
 //! ([`crate::gate::compare_quality`]) to that property.
 
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Duration;
+use tep::broker::json_document;
 use tep::prelude::*;
 use tep_eval::metrics::thresholded_effectiveness;
 use tep_eval::{EvalConfig, GroundTruthOracle, MatcherStack, Workload};
@@ -25,7 +27,7 @@ const FLUSH_DEADLINE: Duration = Duration::from_secs(120);
 
 /// One scenario's live (sampled) and offline (exhaustive) quality
 /// numbers, as reported in `BENCH_quality.json`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QualityScenario {
     /// Scenario name (stable identifier, used as the JSON key).
     pub name: String,
@@ -61,35 +63,6 @@ pub struct QualityScenario {
 }
 
 impl QualityScenario {
-    /// One JSON object (no trailing newline).
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"sample_every\":{},\"samples\":{},",
-                "\"unknown\":{},\"live_precision\":{:.6},\"live_recall\":{:.6},",
-                "\"live_f1\":{:.6},\"live_f1_ci_lo\":{:.6},\"live_f1_ci_hi\":{:.6},",
-                "\"offline_precision\":{:.6},\"offline_recall\":{:.6},",
-                "\"offline_f1\":{:.6},\"f1_gap\":{:.6},\"within_ci\":{},",
-                "\"drift_alerts\":{}}}"
-            ),
-            self.name,
-            self.sample_every,
-            self.samples,
-            self.unknown,
-            self.live_precision,
-            self.live_recall,
-            self.live_f1,
-            self.live_f1_ci_lo,
-            self.live_f1_ci_hi,
-            self.offline_precision,
-            self.offline_recall,
-            self.offline_f1,
-            self.f1_gap,
-            self.within_ci,
-            self.drift_alerts,
-        )
-    }
-
     /// One human-readable summary line.
     pub fn summary(&self) -> String {
         format!(
@@ -109,17 +82,15 @@ impl QualityScenario {
 
 /// Renders the scenario list as the `BENCH_quality.json` document.
 pub fn render_json(results: &[QualityScenario]) -> String {
-    let mut out = String::from("{\n  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&r.to_json());
-        if i + 1 < results.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    json_document(&QualityJson {
+        scenarios: results.to_vec(),
+    })
+}
+
+/// The `BENCH_quality.json` document.
+#[derive(Serialize)]
+struct QualityJson {
+    scenarios: Vec<QualityScenario>,
 }
 
 /// Publishes `events` through a quality-sampled broker `rounds` times,

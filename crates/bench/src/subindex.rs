@@ -12,8 +12,10 @@
 //! `ratio_vs_small < 1` quantifies the residual large-population cost and
 //! `ci/perf_gate.sh` holds the floor at 0.5×.
 
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tep::broker::json_document;
 use tep::prelude::*;
 
 /// Distinct predicate sets in the pool: `POOL_BASES` single-predicate
@@ -50,7 +52,7 @@ const HIT_STRIDE: usize = 64;
 const FLUSH_DEADLINE: Duration = Duration::from_secs(300);
 
 /// One subscriber-scale measurement of the aggregation scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SubindexRun {
     /// Registered subscriptions.
     pub subscribers: u64,
@@ -76,28 +78,6 @@ pub struct SubindexRun {
 }
 
 impl SubindexRun {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"subscribers\":{},\"index_entries\":{},",
-                "\"distinct_subscriptions\":{},\"events\":{},",
-                "\"elapsed_secs\":{:.6},\"events_per_sec\":{:.1},",
-                "\"match_tests\":{},\"match_tests_per_event\":{:.2},",
-                "\"covered_skips\":{},\"notifications\":{}}}"
-            ),
-            self.subscribers,
-            self.index_entries,
-            self.distinct_subscriptions,
-            self.events,
-            self.elapsed_secs,
-            self.events_per_sec,
-            self.match_tests,
-            self.match_tests_per_event,
-            self.covered_skips,
-            self.notifications,
-        )
-    }
-
     /// One human-readable summary line.
     pub fn summary(&self) -> String {
         format!(
@@ -135,13 +115,20 @@ impl SubindexReport {
 
     /// Renders the `BENCH_subindex.json` document.
     pub fn render_json(&self) -> String {
-        format!(
-            "{{\n  \"small\": {},\n  \"large\": {},\n  \"ratio_vs_small\": {:.4}\n}}\n",
-            self.small.to_json(),
-            self.large.to_json(),
-            self.ratio_vs_small(),
-        )
+        json_document(&SubindexJson {
+            small: self.small.clone(),
+            large: self.large.clone(),
+            ratio_vs_small: self.ratio_vs_small(),
+        })
     }
+}
+
+/// The `BENCH_subindex.json` document.
+#[derive(Serialize)]
+struct SubindexJson {
+    small: SubindexRun,
+    large: SubindexRun,
+    ratio_vs_small: f64,
 }
 
 /// The distinct subscription pool, built once and shared by reference

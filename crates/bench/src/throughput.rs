@@ -6,8 +6,10 @@
 //! counters sampled from the matcher, so cache-efficiency regressions are
 //! visible alongside raw throughput.
 
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
+use tep::broker::json_document;
 use tep::prelude::*;
 use tep_eval::{EvalConfig, MatcherStack, Workload};
 
@@ -15,7 +17,7 @@ use crate::harness::{bench_workers, domain_tags, publish_paced, publish_round, F
 
 /// Percentile summary of one pipeline stage's latency histogram
 /// (nanosecond units), as reported in `BENCH_throughput.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StagePercentiles {
     /// Stage name (`queue_wait`, `match`, `match_exact`,
     /// `match_thematic`, `match_cached`, or `deliver`).
@@ -42,16 +44,6 @@ impl StagePercentiles {
             p99_ns: snap.p99().as_nanos() as u64,
             max_ns: snap.max().as_nanos() as u64,
         }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"stage\":\"{}\",\"count\":{},\"p50_ns\":{},",
-                "\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}"
-            ),
-            self.stage, self.count, self.p50_ns, self.p95_ns, self.p99_ns, self.max_ns,
-        )
     }
 
     /// One human-readable line (microsecond units for legibility).
@@ -116,37 +108,6 @@ pub struct ScenarioThroughput {
 }
 
 impl ScenarioThroughput {
-    /// One JSON object (no trailing newline).
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"events\":{},\"elapsed_secs\":{:.6},",
-                "\"events_per_sec\":{:.1},\"match_tests\":{},\"notifications\":{},",
-                "\"routing_skipped\":{},\"allocations\":{},\"allocs_per_event\":{:.2},",
-                "\"cache_hits\":{},\"cache_misses\":{},",
-                "\"cache_evictions\":{},\"cache_hit_rate\":{:.4},\"stages\":[{}]}}"
-            ),
-            self.name,
-            self.events,
-            self.elapsed_secs,
-            self.events_per_sec,
-            self.match_tests,
-            self.notifications,
-            self.routing_skipped,
-            self.allocations,
-            self.allocs_per_event,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.hit_rate(),
-            self.stages
-                .iter()
-                .map(StagePercentiles::to_json)
-                .collect::<Vec<_>>()
-                .join(","),
-        )
-    }
-
     /// One human-readable summary line.
     pub fn summary(&self) -> String {
         format!(
@@ -166,36 +127,82 @@ impl ScenarioThroughput {
 
 /// Renders the scenario list as the `BENCH_throughput.json` document.
 pub fn render_json(results: &[ScenarioThroughput]) -> String {
-    let mut out = String::from("{\n  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&r.to_json());
-        if i + 1 < results.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let scenarios = results
+        .iter()
+        .map(|r| ScenarioJson {
+            name: r.name.clone(),
+            events: r.events,
+            elapsed_secs: r.elapsed_secs,
+            events_per_sec: r.events_per_sec,
+            match_tests: r.match_tests,
+            notifications: r.notifications,
+            routing_skipped: r.routing_skipped,
+            allocations: r.allocations,
+            allocs_per_event: r.allocs_per_event,
+            cache_hits: r.cache.hits,
+            cache_misses: r.cache.misses,
+            cache_evictions: r.cache.evictions,
+            cache_hit_rate: r.cache.hit_rate(),
+            stages: r.stages.clone(),
+        })
+        .collect();
+    json_document(&ThroughputJson { scenarios })
+}
+
+/// The `BENCH_throughput.json` document.
+#[derive(Serialize)]
+struct ThroughputJson {
+    scenarios: Vec<ScenarioJson>,
+}
+
+/// One scenario: the result with its cache counters flattened and its
+/// Prometheus export left out.
+#[derive(Serialize)]
+struct ScenarioJson {
+    name: String,
+    events: u64,
+    elapsed_secs: f64,
+    events_per_sec: f64,
+    match_tests: u64,
+    notifications: u64,
+    routing_skipped: u64,
+    allocations: u64,
+    allocs_per_event: f64,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_evictions: u64,
+    cache_hit_rate: f64,
+    stages: Vec<StagePercentiles>,
 }
 
 /// Renders the per-scenario allocation report (`BENCH_alloc.json`, the CI
 /// artifact behind the zero-alloc guarantee): heap allocations recorded
 /// over each scenario's publish+drain window and the per-event ratio.
 pub fn render_alloc_json(results: &[ScenarioThroughput]) -> String {
-    let mut out = String::from("{\n  \"scenarios\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\":\"{}\",\"events\":{},\"allocations\":{},\"allocs_per_event\":{:.2}}}",
-            r.name, r.events, r.allocations, r.allocs_per_event,
-        ));
-        if i + 1 < results.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let scenarios = results
+        .iter()
+        .map(|r| AllocJson {
+            name: r.name.clone(),
+            events: r.events,
+            allocations: r.allocations,
+            allocs_per_event: r.allocs_per_event,
+        })
+        .collect();
+    json_document(&AllocReportJson { scenarios })
+}
+
+/// The `BENCH_alloc.json` document.
+#[derive(Serialize)]
+struct AllocReportJson {
+    scenarios: Vec<AllocJson>,
+}
+
+#[derive(Serialize)]
+struct AllocJson {
+    name: String,
+    events: u64,
+    allocations: u64,
+    allocs_per_event: f64,
 }
 
 /// Hook invoked with each scenario's broker right after the subscriptions

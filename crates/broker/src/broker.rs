@@ -1,7 +1,7 @@
 //! The broker runtime.
 
 use crate::config::{BrokerConfig, PublishPolicy};
-use crate::explain::MatchExplanation;
+use crate::explain::{ExplanationJson, MatchExplanation};
 use crate::notification::Notification;
 use crate::overload::{BreakerState, LoadState, OverloadController};
 use crate::quality::{QualityOracle, QualityReport, QualityState};
@@ -10,6 +10,8 @@ use crate::subindex::SubscriptionIndex;
 use crate::supervisor::{supervisor_loop, DeadLetter, DeadLetterQueue, Job};
 use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender, TrySendError};
 use parking_lot::RwLock;
+use serde::Serialize;
+use serde_json::JsonValue;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -20,9 +22,9 @@ use std::time::{Duration, Instant};
 use tep_events::{Event, Subscription};
 use tep_matcher::{CacheStats, Matcher};
 use tep_obs::{
-    escape_json, render_spans_json, span_tree, BoundedRing, CostEntry, CostTable, CounterFamily,
-    FlightRecorder, FrameWriter, MetricsRegistry, RecorderConfig, SpanCollector, SpanNode,
-    SpanRecord, TopKSketch, WindowedDelta,
+    json_document, span_tree, BoundedRing, CostEntry, CostTable, CounterFamily, FlightRecorder,
+    FrameWriter, MetricsRegistry, RecorderConfig, SpanCollector, SpanJson, SpanNode, SpanRecord,
+    TopKSketch, WindowedDelta,
 };
 
 /// Default deadline for the bare [`Broker::flush`] convenience wrapper.
@@ -534,116 +536,183 @@ impl Shared {
             return None;
         }
         let context = self.diagnostic_context_json();
-        recorder.trigger(kind, &detail(), &context)
+        recorder.trigger(kind, &detail(), context)
     }
 
-    /// The bundle's `context` object: config fingerprint, headline
-    /// counters, overload state, and the span / explanation ring tails.
-    /// Runs only at trigger time, so it allocates freely.
-    fn diagnostic_context_json(&self) -> String {
-        use std::fmt::Write;
+    /// The bundle's `context` object: the full config and its
+    /// fingerprint, headline counters, overload state, quality drift,
+    /// and the span / explanation ring tails. Runs only at trigger time,
+    /// so it allocates freely.
+    fn diagnostic_context_json(&self) -> JsonValue {
         let stats = self.stats.snapshot();
-        let fingerprint = config_fingerprint(&self.config);
-        let mut out = String::with_capacity(2048);
-        let _ = write!(
-            out,
-            "{{\n    \"config_fingerprint\": \"{}\",\n    \"config\": \"{}\",\n",
-            fingerprint.1,
-            escape_json(&fingerprint.0)
-        );
-        let _ = writeln!(
-            out,
-            "    \"stats\": {{\"published\": {}, \"processed\": {}, \"notifications\": {}, \
-             \"quarantined\": {}, \"worker_panics\": {}, \"live_workers\": {}, \
-             \"dead_letters\": {}}},",
-            stats.published,
-            stats.processed,
-            stats.notifications,
-            stats.quarantined,
-            stats.worker_panics,
-            stats.live_workers,
-            self.dead_letters.len(),
-        );
-        match &self.overload {
+        let overload = match &self.overload {
             Some(overload) => {
                 let state = overload.current();
-                let _ = writeln!(
-                    out,
-                    "    \"overload\": {{\"state\": \"{}\", \"severity\": {}, \
-                     \"forced\": {}, \"ewma_queue_wait_ms\": {:.6}, \"transitions\": {}}},",
-                    escape_json(state.as_str()),
-                    state.severity(),
-                    overload.forced().is_some(),
-                    overload.ewma_wait_ms(),
-                    overload.transitions(),
-                );
+                let view = OverloadContextJson {
+                    state: state.as_str(),
+                    severity: state.severity(),
+                    forced: overload.forced().is_some(),
+                    ewma_queue_wait_ms: overload.ewma_wait_ms(),
+                    transitions: overload.transitions(),
+                };
+                serde_json::to_value(&view).expect("plain data always serializes")
             }
-            None => out.push_str("    \"overload\": {\"enabled\": false},\n"),
-        }
-        if let Some(quality) = self.quality.get() {
-            let report = report_drift_json(&quality.report());
-            let _ = writeln!(out, "    \"quality_drift\": {report},");
-        }
-        let spans = render_spans_json(&self.spans.snapshot());
-        let _ = writeln!(out, "    \"spans\": {},", spans.trim_end());
-        let explanations = crate::explain::render_explanations_json(&self.explain.snapshot());
-        let _ = write!(
-            out,
-            "    \"explanations\": {}\n  }}",
-            explanations.trim_end()
-        );
-        out
+            None => disabled(),
+        };
+        let context = DiagnosticContextJson {
+            config_fingerprint: config_fingerprint(&self.config),
+            config: self.config.clone(),
+            stats: StatsContextJson {
+                published: stats.published,
+                processed: stats.processed,
+                notifications: stats.notifications,
+                quarantined: stats.quarantined,
+                worker_panics: stats.worker_panics,
+                live_workers: stats.live_workers,
+                dead_letters: self.dead_letters.len(),
+            },
+            overload,
+            quality_drift: self.quality.get().map(|quality| {
+                let drift = quality.report().drift;
+                drift.iter().map(ToString::to_string).collect()
+            }),
+            spans: self.spans.snapshot().iter().map(SpanJson::from).collect(),
+            explanations: self
+                .explain
+                .snapshot()
+                .iter()
+                .map(ExplanationJson::from)
+                .collect(),
+        };
+        serde_json::to_value(&context).expect("plain data always serializes")
     }
 }
 
-/// Renders a quality report's drift alerts as a JSON string array.
-fn report_drift_json(report: &crate::quality::QualityReport) -> String {
-    let mut out = String::from("[");
-    for (i, alert) in report.drift.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let line = format!(
-            "{:?}: {:.4} -> {:.4}",
-            alert.kind, alert.older, alert.recent
-        );
-        out.push('"');
-        out.push_str(&escape_json(&line));
-        out.push('"');
-    }
-    out.push(']');
-    out
+/// A diagnostic bundle's `context` object.
+#[derive(Serialize)]
+struct DiagnosticContextJson {
+    config_fingerprint: String,
+    config: BrokerConfig,
+    stats: StatsContextJson,
+    overload: JsonValue,
+    /// Present only when quality sampling is installed.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    quality_drift: Option<Vec<String>>,
+    spans: Vec<SpanJson>,
+    explanations: Vec<ExplanationJson>,
 }
 
-/// A stable human-readable summary of the load-bearing config knobs plus
-/// its FNV-1a hash — enough for an operator reading a bundle to tell
-/// "which configuration was this broker running" without shipping the
-/// whole config (tep-broker renders JSON by hand; serde_json is only a
-/// dev-dependency).
-fn config_fingerprint(config: &BrokerConfig) -> (String, String) {
-    let summary = format!(
-        "workers={} threshold={} queue={} notif={} policy={:?}/{:?} routing={:?} \
-         isolate={} attempts={} batch={} overload={} recorder={} cost={}",
-        config.workers,
-        config.delivery_threshold,
-        config.queue_capacity,
-        config.notification_capacity,
-        config.publish_policy,
-        config.subscriber_policy,
-        config.routing_policy,
-        config.isolate_matcher_panics,
-        config.max_match_attempts,
-        config.dequeue_batch,
-        config.overload.is_some(),
-        config.recorder.is_some(),
-        config.cost_sample_every,
-    );
+#[derive(Serialize)]
+struct StatsContextJson {
+    published: u64,
+    processed: u64,
+    notifications: u64,
+    quarantined: u64,
+    worker_panics: u64,
+    live_workers: u64,
+    dead_letters: usize,
+}
+
+#[derive(Serialize)]
+struct OverloadContextJson {
+    state: &'static str,
+    severity: u8,
+    forced: bool,
+    ewma_queue_wait_ms: f64,
+    transitions: u64,
+}
+
+/// The `{"enabled": false}` object of a subsystem that is off.
+fn disabled() -> JsonValue {
+    [("enabled", false)].into_iter().collect()
+}
+
+/// The [`Broker::overload_json`] document.
+#[derive(Serialize)]
+struct OverloadJson {
+    enabled: bool,
+    state: &'static str,
+    severity: u8,
+    forced: bool,
+    degraded_matching: &'static str,
+    ewma_queue_wait_ms: f64,
+    transitions: u64,
+    state_age_secs: f64,
+    shed_deadline: u64,
+    shed_load: u64,
+    breaker_trips: u64,
+    breaker_open_drops: u64,
+    open_breakers: usize,
+}
+
+/// The [`Broker::costs_json`] document: each per-entity section is
+/// followed by the count of rows cut from it.
+#[derive(Serialize)]
+struct CostsJson {
+    enabled: bool,
+    sample_every: u64,
+    samples: u64,
+    sampled_match_ns: u64,
+    sampled_deliver_ns: u64,
+    estimated_match_ns: u64,
+    estimated_deliver_ns: u64,
+    estimated_total_ns: u64,
+    entries: Vec<CostEntry>,
+    entries_truncated: usize,
+    subscribers: Vec<CostEntry>,
+    subscribers_truncated: usize,
+    themes: Vec<CostEntry>,
+    themes_truncated: usize,
+    top: HotCostsJson,
+}
+
+#[derive(Serialize)]
+struct HotCostsJson {
+    entries: Vec<HotCostJson>,
+    themes: Vec<HotCostJson>,
+    subscribers: Vec<HotCostJson>,
+}
+
+#[derive(Serialize)]
+struct HotCostJson {
+    label: String,
+    sampled_ns: u64,
+}
+
+/// The [`Broker::readiness`] body.
+#[derive(Serialize)]
+struct ReadinessJson {
+    ready: bool,
+    load_state: &'static str,
+    open_breakers: usize,
+    quarantined: usize,
+    closed: bool,
+}
+
+/// The [`Broker::top_json`] document.
+#[derive(Serialize)]
+struct TopThemesJson {
+    themes: Vec<TopJson>,
+    terms: Vec<TopJson>,
+}
+
+#[derive(Serialize)]
+struct TopJson {
+    name: String,
+    count: u64,
+}
+
+/// FNV-1a over the config's compact JSON: equal configs share a
+/// fingerprint and any changed setting changes it, so diffing it across
+/// bundles rules config drift in or out.
+fn config_fingerprint(config: &BrokerConfig) -> String {
+    let text = serde_json::to_string(config).expect("plain data always serializes");
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in summary.as_bytes() {
+    for b in text.as_bytes() {
         hash ^= u64::from(*b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    (summary, format!("{hash:016x}"))
+    format!("{hash:016x}")
 }
 
 /// A thread-pool publish/subscribe broker around any [`Matcher`].
@@ -1130,41 +1199,25 @@ impl Broker {
     /// control is off.
     pub fn overload_json(&self) -> String {
         let Some(overload) = &self.shared.overload else {
-            return "{\n  \"enabled\": false\n}\n".to_string();
+            return json_document(&disabled());
         };
         let stats = self.shared.stats.snapshot();
         let state = overload.current();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"enabled\": true,\n",
-                "  \"state\": \"{state}\",\n",
-                "  \"severity\": {severity},\n",
-                "  \"forced\": {forced},\n",
-                "  \"degraded_matching\": \"{mode}\",\n",
-                "  \"ewma_queue_wait_ms\": {wait:.6},\n",
-                "  \"transitions\": {transitions},\n",
-                "  \"state_age_secs\": {age:.3},\n",
-                "  \"shed_deadline\": {shed_deadline},\n",
-                "  \"shed_load\": {shed_load},\n",
-                "  \"breaker_trips\": {breaker_trips},\n",
-                "  \"breaker_open_drops\": {breaker_open},\n",
-                "  \"open_breakers\": {open_breakers}\n",
-                "}}\n",
-            ),
-            state = escape_json(state.as_str()),
-            severity = state.severity(),
-            forced = overload.forced().is_some(),
-            mode = escape_json(overload.degraded_mode().as_str()),
-            wait = overload.ewma_wait_ms(),
-            transitions = overload.transitions(),
-            age = overload.state_age_secs(),
-            shed_deadline = stats.shed_deadline,
-            shed_load = stats.shed_load,
-            breaker_trips = stats.breaker_trips,
-            breaker_open = stats.breaker_open,
-            open_breakers = self.open_breakers(),
-        )
+        json_document(&OverloadJson {
+            enabled: true,
+            state: state.as_str(),
+            severity: state.severity(),
+            forced: overload.forced().is_some(),
+            degraded_matching: overload.degraded_mode().as_str(),
+            ewma_queue_wait_ms: overload.ewma_wait_ms(),
+            transitions: overload.transitions(),
+            state_age_secs: overload.state_age_secs(),
+            shed_deadline: stats.shed_deadline,
+            shed_load: stats.shed_load,
+            breaker_trips: stats.breaker_trips,
+            breaker_open_drops: stats.breaker_open,
+            open_breakers: self.open_breakers(),
+        })
     }
 
     /// The current cost-attribution report. `enabled` is `false` (and
@@ -1195,72 +1248,43 @@ impl Broker {
     /// `*_truncated` count so a million-subscriber broker still scrapes
     /// cheaply.
     pub fn costs_json(&self) -> String {
-        use std::fmt::Write;
-        let report = self.costs();
+        const CAP: usize = 64;
+        /// Keeps the first `CAP` rows; returns how many were cut.
+        fn cap(rows: &mut Vec<CostEntry>) -> usize {
+            let cut = rows.len().saturating_sub(CAP);
+            rows.truncate(CAP);
+            cut
+        }
+        fn hot(rows: Vec<(String, u64)>) -> Vec<HotCostJson> {
+            rows.into_iter()
+                .map(|(label, sampled_ns)| HotCostJson { label, sampled_ns })
+                .collect()
+        }
+        let mut report = self.costs();
         if !report.enabled {
-            return "{\n  \"enabled\": false\n}\n".to_string();
+            return json_document(&disabled());
         }
-        fn section(out: &mut String, name: &str, rows: &[CostEntry]) {
-            use std::fmt::Write;
-            const CAP: usize = 64;
-            let shown = rows.len().min(CAP);
-            let _ = write!(out, "  \"{name}\": [");
-            for (i, row) in rows[..shown].iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"label\": \"{}\", \"match_ns\": {}, \"deliver_ns\": {}, \
-                     \"samples\": {}}}",
-                    escape_json(&row.label),
-                    row.match_ns,
-                    row.deliver_ns,
-                    row.samples,
-                );
-            }
-            let _ = writeln!(out, "],\n  \"{name}_truncated\": {},", rows.len() - shown);
-        }
-        fn hot(out: &mut String, name: &str, rows: &[(String, u64)], last: bool) {
-            use std::fmt::Write;
-            let _ = write!(out, "    \"{name}\": [");
-            for (i, (label, ns)) in rows.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"label\": \"{}\", \"sampled_ns\": {ns}}}",
-                    escape_json(label)
-                );
-            }
-            out.push(']');
-            out.push_str(if last { "\n" } else { ",\n" });
-        }
-        let mut out = String::with_capacity(4096);
-        let _ = write!(
-            out,
-            "{{\n  \"enabled\": true,\n  \"sample_every\": {},\n  \"samples\": {},\n  \
-             \"sampled_match_ns\": {},\n  \"sampled_deliver_ns\": {},\n  \
-             \"estimated_match_ns\": {},\n  \"estimated_deliver_ns\": {},\n  \
-             \"estimated_total_ns\": {},\n",
-            report.sample_every,
-            report.samples,
-            report.sampled_match_ns,
-            report.sampled_deliver_ns,
-            report.estimated_match_ns(),
-            report.estimated_deliver_ns(),
-            report.estimated_total_ns(),
-        );
-        section(&mut out, "entries", &report.entries);
-        section(&mut out, "subscribers", &report.subscribers);
-        section(&mut out, "themes", &report.themes);
-        out.push_str("  \"top\": {\n");
-        hot(&mut out, "entries", &report.hot_entries, false);
-        hot(&mut out, "themes", &report.hot_themes, false);
-        hot(&mut out, "subscribers", &report.hot_subscribers, true);
-        out.push_str("  }\n}\n");
-        out
+        json_document(&CostsJson {
+            enabled: true,
+            sample_every: report.sample_every,
+            samples: report.samples,
+            sampled_match_ns: report.sampled_match_ns,
+            sampled_deliver_ns: report.sampled_deliver_ns,
+            estimated_match_ns: report.estimated_match_ns(),
+            estimated_deliver_ns: report.estimated_deliver_ns(),
+            estimated_total_ns: report.estimated_total_ns(),
+            entries_truncated: cap(&mut report.entries),
+            entries: report.entries,
+            subscribers_truncated: cap(&mut report.subscribers),
+            subscribers: report.subscribers,
+            themes_truncated: cap(&mut report.themes),
+            themes: report.themes,
+            top: HotCostsJson {
+                entries: hot(report.hot_entries),
+                themes: hot(report.hot_themes),
+                subscribers: hot(report.hot_subscribers),
+            },
+        })
     }
 
     /// Fires the manual flight-recorder trigger (the `POST
@@ -1305,14 +1329,13 @@ impl Broker {
         let state = self.load_state();
         let overloaded = state.is_some_and(|s| s.severity() >= LoadState::Overloaded.severity());
         let ready = !self.is_closed() && !overloaded;
-        let body = format!(
-            "{{\"ready\": {ready}, \"load_state\": \"{}\", \"open_breakers\": {}, \
-             \"quarantined\": {}, \"closed\": {}}}\n",
-            escape_json(state.map_or("off", |s| s.as_str())),
-            self.open_breakers(),
-            self.dead_letter_count(),
-            self.is_closed(),
-        );
+        let body = json_document(&ReadinessJson {
+            ready,
+            load_state: state.map_or("off", LoadState::as_str),
+            open_breakers: self.open_breakers(),
+            quarantined: self.dead_letter_count(),
+            closed: self.is_closed(),
+        });
         (ready, body)
     }
 
@@ -1348,24 +1371,16 @@ impl Broker {
 
     /// The `/top` endpoint body: top-`k` themes and terms as JSON.
     pub fn top_json(&self, k: usize) -> String {
-        fn entries(items: &[(String, u64)]) -> String {
-            let mut out = String::new();
-            for (i, (name, count)) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"name\": \"{}\", \"count\": {count}}}",
-                    escape_json(name)
-                ));
-            }
-            out
+        fn entries(items: Vec<(String, u64)>) -> Vec<TopJson> {
+            items
+                .into_iter()
+                .map(|(name, count)| TopJson { name, count })
+                .collect()
         }
-        format!(
-            "{{\n  \"themes\": [{}],\n  \"terms\": [{}]\n}}\n",
-            entries(&self.top_themes(k)),
-            entries(&self.top_terms(k))
-        )
+        json_document(&TopThemesJson {
+            themes: entries(self.top_themes(k)),
+            terms: entries(self.top_terms(k)),
+        })
     }
 
     /// Events currently waiting on the ingress queue (drains to 0 after
@@ -3019,7 +3034,15 @@ mod tests {
         let json = b.costs_json();
         assert!(json.contains("\"enabled\": true"));
         assert!(json.contains("\"sample_every\": 1"));
-        assert!(json.contains("\"entries\": [{\"label\": \"entry-"));
+        let parsed: JsonValue = serde_json::from_str(&json).expect("costs body is JSON");
+        let first = parsed
+            .get("entries")
+            .and_then(JsonValue::as_seq)
+            .and_then(|rows| rows.first());
+        let label = first
+            .and_then(|row| row.get("label"))
+            .and_then(JsonValue::as_str);
+        assert!(label.is_some_and(|l| l.starts_with("entry-")), "{json}");
         let prom = b.metrics().render_prometheus();
         assert!(prom.contains("tep_cost_ns_total"));
         assert!(prom.contains("entity=\"entry\""));

@@ -198,15 +198,6 @@ pub struct BrokerConfig {
     /// subsystem — the hot path then pays one branch per event for it.
     #[serde(default)]
     pub overload: Option<OverloadConfig>,
-    /// Maximum jobs a worker drains from the ingress queue per channel
-    /// acquisition (`recv_batch`). Batching amortizes the queue lock and
-    /// parked-thread wakeups across up to this many events; `1` restores
-    /// job-at-a-time dequeue. Larger batches trade a little scheduling
-    /// fairness between workers for lower per-event queue overhead —
-    /// recovery semantics are unchanged (a crashed worker's entire
-    /// undispatched batch is re-enqueued or quarantined).
-    #[serde(default = "default_dequeue_batch")]
-    pub dequeue_batch: usize,
     /// Always-on flight recorder: periodic diagnostic frames in a
     /// bounded ring, frozen into a JSON bundle when a trigger fires. The
     /// same frames back the `{window="10s"|"60s"}` series in
@@ -229,10 +220,6 @@ fn default_span_capacity() -> usize {
 }
 
 fn default_label_cardinality() -> usize {
-    32
-}
-
-fn default_dequeue_batch() -> usize {
     32
 }
 
@@ -328,13 +315,6 @@ impl BrokerConfig {
         self
     }
 
-    /// Replaces the per-acquisition dequeue batch size (clamped to at
-    /// least 1; `1` disables batching).
-    pub fn with_dequeue_batch(mut self, batch: usize) -> BrokerConfig {
-        self.dequeue_batch = batch.max(1);
-        self
-    }
-
     /// Enables the always-on flight recorder with the given tuning. See
     /// [`RecorderSettings`] for the knobs.
     pub fn with_flight_recorder(mut self, settings: RecorderSettings) -> BrokerConfig {
@@ -370,7 +350,6 @@ impl Default for BrokerConfig {
             labeled_metrics: false,
             label_cardinality: default_label_cardinality(),
             overload: None,
-            dequeue_batch: default_dequeue_batch(),
             recorder: None,
             cost_sample_every: 0,
         }
@@ -399,7 +378,6 @@ mod tests {
         assert!(!c.labeled_metrics, "labeled metrics are opt-in");
         assert_eq!(c.label_cardinality, 32);
         assert!(c.overload.is_none(), "overload control is opt-in");
-        assert!(c.dequeue_batch >= 1, "batch dequeue must stay enabled");
         assert!(c.recorder.is_none(), "the flight recorder is opt-in");
         assert_eq!(c.cost_sample_every, 0, "cost attribution is opt-in");
     }
@@ -419,7 +397,6 @@ mod tests {
             .with_span_capacity(256)
             .with_labeled_metrics(true)
             .with_label_cardinality(0)
-            .with_dequeue_batch(0)
             .with_cost_attribution(64);
         assert_eq!(c.workers, 1, "worker count is clamped to at least 1");
         assert_eq!(c.delivery_threshold, 0.5);
@@ -436,7 +413,6 @@ mod tests {
         assert_eq!(c.span_capacity, 256);
         assert!(c.labeled_metrics);
         assert_eq!(c.label_cardinality, 1, "cardinality cap clamps to 1");
-        assert_eq!(c.dequeue_batch, 1, "batch size is clamped to at least 1");
         assert_eq!(c.cost_sample_every, 64);
     }
 
@@ -491,13 +467,20 @@ mod tests {
     #[test]
     fn saved_config_with_window_keys_still_loads() {
         // Configs saved while windowed metrics had their own frame ring
-        // carry `window_tick_ms` and `window_capacity`; both are ignored
-        // (the flight recorder's ring backs the windows now).
+        // carry `window_tick_ms` and `window_capacity`, and configs saved
+        // while the dequeue batch was a setting carry `dequeue_batch`;
+        // all are ignored (the flight recorder's ring backs the windows
+        // now, and the batch is a constant).
         let c = BrokerConfig::default().with_flight_recorder(RecorderSettings::default());
         let json = serde_json::to_string(&c).unwrap();
-        let saved = json.replacen('{', "{\"window_tick_ms\":1000,\"window_capacity\":128,", 1);
+        let saved = json.replacen(
+            '{',
+            "{\"window_tick_ms\":1000,\"window_capacity\":128,\"dequeue_batch\":32,",
+            1,
+        );
         assert!(saved.contains("\"window_tick_ms\":1000"));
         assert!(saved.contains("\"window_capacity\":128"));
+        assert!(saved.contains("\"dequeue_batch\":32"));
         let back: BrokerConfig = serde_json::from_str(&saved).unwrap();
         assert_eq!(back, c);
     }

@@ -10,9 +10,9 @@
 //! matcher is never re-run and an unexplained broker pays only a branch.
 
 use crate::broker::SubscriptionId;
-use std::fmt::Write as _;
-use tep_matcher::{MatchDetail, PredicateExplanation};
-use tep_obs::escape_json;
+use serde::Serialize;
+use tep_matcher::{MatchDetail, PredicateExplanation, RelatednessDetail};
+use tep_obs::json_document;
 
 /// How a match test's semantic work was served, mirroring the three-way
 /// stage-latency split ([`crate::StageLatencies`]).
@@ -119,128 +119,128 @@ impl MatchExplanation {
     pub fn is_accepted(&self) -> bool {
         self.outcome.is_accepted()
     }
-
-    /// Renders this explanation as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"seq\": {}, \"subscription\": \"{}\", \"score\": {}, \"threshold\": {}, \
-             \"temperature\": \"{}\", \"outcome\": \"{}\"",
-            self.seq,
-            self.subscription,
-            json_f64(self.score),
-            json_f64(self.threshold),
-            self.temperature.as_str(),
-            self.outcome.as_str(),
-        );
-        if let MatchOutcome::Panicked { reason } = &self.outcome {
-            let _ = write!(out, ", \"panic_reason\": \"{}\"", escape_json(reason));
-        }
-        push_string_array(&mut out, "subscription_themes", &self.subscription_themes);
-        push_string_array(&mut out, "event_themes", &self.event_themes);
-        match &self.detail {
-            None => out.push_str(", \"detail\": null"),
-            Some(d) => {
-                let _ = write!(
-                    out,
-                    ", \"detail\": {{\"matcher\": \"{}\", \"mapped\": {}, \"predicates\": [",
-                    escape_json(d.matcher),
-                    d.mapped,
-                );
-                for (i, p) in d.predicates.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    push_predicate(&mut out, p);
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push('}');
-        out
-    }
 }
 
-/// Renders a batch of explanations as a JSON array, oldest first — the
-/// payload behind the scrape server's `/explain` endpoint.
+/// Renders a batch of explanations as a JSON array, one object per
+/// explanation, oldest first — the payload behind the scrape server's
+/// `/explain` endpoint.
 pub fn render_explanations_json(explanations: &[MatchExplanation]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in explanations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  ");
-        out.push_str(&e.to_json());
-    }
-    out.push_str("\n]\n");
-    out
+    json_document(
+        &explanations
+            .iter()
+            .map(ExplanationJson::from)
+            .collect::<Vec<_>>(),
+    )
 }
 
-/// Finite floats render as themselves; NaN/inf have no JSON spelling and
-/// degrade to null.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// One [`MatchExplanation`] as a JSON object: labels as their stable
+/// strings, `panic_reason` only for panicked tests, and `detail: null`
+/// when the test produced none. Also the element of a diagnostic
+/// bundle's `context.explanations`.
+#[derive(Serialize)]
+pub(crate) struct ExplanationJson {
+    seq: u64,
+    subscription: String,
+    score: f64,
+    threshold: f64,
+    temperature: &'static str,
+    outcome: &'static str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    panic_reason: Option<String>,
+    subscription_themes: Vec<String>,
+    event_themes: Vec<String>,
+    detail: Option<DetailJson>,
+}
+
+#[derive(Serialize)]
+struct DetailJson {
+    matcher: &'static str,
+    mapped: bool,
+    predicates: Vec<PredicateJson>,
+}
+
+/// One predicate's pairing; the paired tuple's terms and each side's
+/// geometry appear only when known.
+#[derive(Serialize)]
+struct PredicateJson {
+    predicate: usize,
+    attribute: String,
+    value: String,
+    tuple: Option<usize>,
+    similarity: f64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    tuple_attribute: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    tuple_value: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    attribute_detail: Option<RelatednessJson>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    value_detail: Option<RelatednessJson>,
+}
+
+#[derive(Serialize)]
+struct RelatednessJson {
+    score: f64,
+    distance: Option<f64>,
+    dims_full: [usize; 2],
+    dims_projected: [usize; 2],
+}
+
+impl From<&MatchExplanation> for ExplanationJson {
+    fn from(e: &MatchExplanation) -> ExplanationJson {
+        ExplanationJson {
+            seq: e.seq,
+            subscription: e.subscription.to_string(),
+            score: e.score,
+            threshold: e.threshold,
+            temperature: e.temperature.as_str(),
+            outcome: e.outcome.as_str(),
+            panic_reason: match &e.outcome {
+                MatchOutcome::Panicked { reason } => Some(reason.clone()),
+                _ => None,
+            },
+            subscription_themes: e.subscription_themes.clone(),
+            event_themes: e.event_themes.clone(),
+            detail: e.detail.as_ref().map(|d| DetailJson {
+                matcher: d.matcher,
+                mapped: d.mapped,
+                predicates: d.predicates.iter().map(PredicateJson::from).collect(),
+            }),
+        }
     }
 }
 
-fn push_string_array(out: &mut String, key: &str, values: &[String]) {
-    let _ = write!(out, ", \"{key}\": [");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+impl From<&PredicateExplanation> for PredicateJson {
+    fn from(p: &PredicateExplanation) -> PredicateJson {
+        PredicateJson {
+            predicate: p.predicate,
+            attribute: p.attribute.clone(),
+            value: p.value.clone(),
+            tuple: p.tuple,
+            similarity: p.similarity,
+            tuple_attribute: p.tuple_attribute.clone(),
+            tuple_value: p.tuple_value.clone(),
+            attribute_detail: p.attribute_detail.as_ref().map(RelatednessJson::from),
+            value_detail: p.value_detail.as_ref().map(RelatednessJson::from),
         }
-        let _ = write!(out, "\"{}\"", escape_json(v));
     }
-    out.push(']');
 }
 
-fn push_predicate(out: &mut String, p: &PredicateExplanation) {
-    let _ = write!(
-        out,
-        "{{\"predicate\": {}, \"attribute\": \"{}\", \"value\": \"{}\", \"tuple\": {}, \
-         \"similarity\": {}",
-        p.predicate,
-        escape_json(&p.attribute),
-        escape_json(&p.value),
-        p.tuple
-            .map_or_else(|| "null".to_string(), |t| t.to_string()),
-        json_f64(p.similarity),
-    );
-    if let Some(a) = &p.tuple_attribute {
-        let _ = write!(out, ", \"tuple_attribute\": \"{}\"", escape_json(a));
-    }
-    if let Some(v) = &p.tuple_value {
-        let _ = write!(out, ", \"tuple_value\": \"{}\"", escape_json(v));
-    }
-    for (key, detail) in [
-        ("attribute_detail", &p.attribute_detail),
-        ("value_detail", &p.value_detail),
-    ] {
-        if let Some(d) = detail {
-            let _ = write!(
-                out,
-                ", \"{key}\": {{\"score\": {}, \"distance\": {}, \"dims_full\": [{}, {}], \
-                 \"dims_projected\": [{}, {}]}}",
-                json_f64(d.score),
-                d.distance.map_or_else(|| "null".to_string(), json_f64),
-                d.dims_full_s,
-                d.dims_full_e,
-                d.dims_projected_s,
-                d.dims_projected_e,
-            );
+impl From<&RelatednessDetail> for RelatednessJson {
+    fn from(d: &RelatednessDetail) -> RelatednessJson {
+        RelatednessJson {
+            score: d.score,
+            distance: d.distance,
+            dims_full: [d.dims_full_s, d.dims_full_e],
+            dims_projected: [d.dims_projected_s, d.dims_projected_e],
         }
     }
-    out.push('}');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tep_matcher::RelatednessDetail;
+    use serde_json::JsonValue;
 
     fn explanation(outcome: MatchOutcome) -> MatchExplanation {
         MatchExplanation {
@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn json_is_balanced_and_escaped() {
-        let json = explanation(MatchOutcome::Delivered).to_json();
+        let json = render_explanations_json(&[explanation(MatchOutcome::Delivered)]);
         assert!(json.contains("\"seq\": 42"));
         assert!(json.contains("\"subscription\": \"s3\""));
         assert!(json.contains("\"outcome\": \"delivered\""));
@@ -317,7 +317,7 @@ mod tests {
             reason: "injected \"fault\"".to_string(),
         });
         e.detail = None;
-        let json = e.to_json();
+        let json = render_explanations_json(&[e]);
         assert!(json.contains("\"outcome\": \"panicked\""));
         assert!(json.contains("\"panic_reason\": \"injected \\\"fault\\\"\""));
         assert!(json.contains("\"detail\": null"));
@@ -333,13 +333,20 @@ mod tests {
         assert!(json.starts_with('['));
         assert!(json.ends_with("]\n"));
         assert_eq!(json.matches("\"seq\": 42").count(), 2);
-        assert_eq!(render_explanations_json(&[]), "[\n]\n");
+        let empty: JsonValue = serde_json::from_str(&render_explanations_json(&[])).unwrap();
+        assert_eq!(empty.as_seq(), Some(&[][..]));
     }
 
     #[test]
     fn non_finite_floats_degrade_to_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(0.25), "0.25");
+        let mut e = explanation(MatchOutcome::NoMapping);
+        e.score = f64::NAN;
+        e.threshold = f64::INFINITY;
+        let json = render_explanations_json(&[e]);
+        assert!(json.contains("\"score\": null"), "{json}");
+        assert!(json.contains("\"threshold\": null"), "{json}");
+        assert!(json.contains("\"similarity\": 0.5"), "{json}");
+        let parsed: JsonValue = serde_json::from_str(&json).expect("still valid JSON");
+        assert_eq!(parsed.as_seq().map(<[JsonValue]>::len), Some(1));
     }
 }

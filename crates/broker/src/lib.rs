@@ -89,7 +89,7 @@ pub use supervisor::DeadLetter;
 // server without depending on `tep-obs` or `tep-matcher` directly.
 pub use tep_matcher::{DegradedMatching, MatchDetail, PredicateExplanation, RelatednessDetail};
 pub use tep_obs::{
-    render_spans_json, serve, span_tree, CostEntry, DiagnosticFrame, FlightRecorder,
+    json_document, render_spans_json, serve, span_tree, CostEntry, DiagnosticFrame, FlightRecorder,
     HistogramSnapshot, MetricsRegistry, RecorderConfig, ScrapeHandlers, ScrapeServer, SpanNode,
     SpanRecord, WindowedDelta,
 };

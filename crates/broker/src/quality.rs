@@ -24,11 +24,13 @@
 //! one modulo; with sampling disabled entirely (no oracle installed)
 //! the hot path pays a single branch.
 
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use tep_events::{Event, Subscription};
+use tep_obs::json_document;
 
 /// Ground truth for shadow quality sampling.
 ///
@@ -338,6 +340,17 @@ pub struct DriftAlert {
     pub recent: f64,
 }
 
+/// One readable line, e.g. `MeanScore: 0.9000 -> 0.1000`.
+impl fmt::Display for DriftAlert {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:?}: {:.4} -> {:.4}",
+            self.kind, self.older, self.recent
+        )
+    }
+}
+
 /// A point-in-time report from the shadow quality evaluator
 /// ([`crate::Broker::quality`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -386,49 +399,57 @@ impl QualityReport {
 
 /// Renders a [`QualityReport`] as the `/quality` JSON document.
 pub fn render_quality_json(report: &QualityReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"sample_every\": {},", report.sample_every);
-    let _ = writeln!(out, "  \"true_positives\": {},", report.true_positives);
-    let _ = writeln!(out, "  \"false_positives\": {},", report.false_positives);
-    let _ = writeln!(out, "  \"false_negatives\": {},", report.false_negatives);
-    let _ = writeln!(out, "  \"true_negatives\": {},", report.true_negatives);
-    let _ = writeln!(out, "  \"unknown\": {},", report.unknown);
-    let _ = writeln!(out, "  \"judged\": {},", report.judged());
-    let _ = writeln!(out, "  \"precision\": {:.6},", report.precision);
-    let _ = writeln!(
-        out,
-        "  \"precision_ci\": [{:.6}, {:.6}],",
-        report.precision_ci.0, report.precision_ci.1
-    );
-    let _ = writeln!(out, "  \"recall\": {:.6},", report.recall);
-    let _ = writeln!(
-        out,
-        "  \"recall_ci\": [{:.6}, {:.6}],",
-        report.recall_ci.0, report.recall_ci.1
-    );
-    let _ = writeln!(out, "  \"f1\": {:.6},", report.f1);
-    let _ = writeln!(
-        out,
-        "  \"f1_ci\": [{:.6}, {:.6}],",
-        report.f1_ci.0, report.f1_ci.1
-    );
-    out.push_str("  \"drift\": [");
-    for (i, alert) in report.drift.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"kind\": \"{}\", \"older\": {:.6}, \"recent\": {:.6}}}",
-            alert.kind.as_str(),
-            alert.older,
-            alert.recent
-        );
-    }
-    if !report.drift.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    json_document(&QualityJson {
+        sample_every: report.sample_every,
+        true_positives: report.true_positives,
+        false_positives: report.false_positives,
+        false_negatives: report.false_negatives,
+        true_negatives: report.true_negatives,
+        unknown: report.unknown,
+        judged: report.judged(),
+        precision: report.precision,
+        precision_ci: report.precision_ci,
+        recall: report.recall,
+        recall_ci: report.recall_ci,
+        f1: report.f1,
+        f1_ci: report.f1_ci,
+        drift: report
+            .drift
+            .iter()
+            .map(|alert| DriftJson {
+                kind: alert.kind.as_str(),
+                older: alert.older,
+                recent: alert.recent,
+            })
+            .collect(),
+    })
+}
+
+/// The `/quality` document: the report plus its `judged` total, with
+/// drift kinds as their stable names.
+#[derive(Serialize)]
+struct QualityJson {
+    sample_every: u64,
+    true_positives: u64,
+    false_positives: u64,
+    false_negatives: u64,
+    true_negatives: u64,
+    unknown: u64,
+    judged: u64,
+    precision: f64,
+    precision_ci: (f64, f64),
+    recall: f64,
+    recall_ci: (f64, f64),
+    f1: f64,
+    f1_ci: (f64, f64),
+    drift: Vec<DriftJson>,
+}
+
+#[derive(Serialize)]
+struct DriftJson {
+    kind: &'static str,
+    older: f64,
+    recent: f64,
 }
 
 #[cfg(test)]

@@ -39,6 +39,12 @@ use tep_matcher::{MatchResult, Matcher};
 /// How often the supervisor polls its workers for panic deaths.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(1);
 
+/// Maximum jobs a worker drains from the ingress queue per `recv_batch`:
+/// one lock acquisition and wakeup amortized over up to this many events.
+/// A crashed worker's whole undispatched batch is re-enqueued or
+/// quarantined.
+const DEQUEUE_BATCH: usize = 32;
+
 /// A unit of work on the ingress queue: one event plus how many matching
 /// attempts it has already consumed.
 #[derive(Debug, Clone)]
@@ -170,13 +176,12 @@ where
             .name(format!("tep-broker-{index}"))
             .spawn(move || {
                 let shard = shared.stats.shard(index);
-                let batch_max = shared.config.dequeue_batch.max(1);
                 // Both scratch buffers are reused across events: the batch
                 // amortizes the channel lock, the dispatch scratch keeps
                 // the per-event candidate snapshot and covering verdicts
                 // allocation-free once its slot arrays have grown to the
                 // index's size.
-                let mut batch: Vec<Job> = Vec::with_capacity(batch_max);
+                let mut batch: Vec<Job> = Vec::with_capacity(DEQUEUE_BATCH);
                 let mut scratch = DispatchScratch::new();
                 loop {
                     // Drain the inflight deque first: it holds the batch
@@ -192,7 +197,7 @@ where
                         process_event(&shared, matcher.as_ref(), shard, &mut scratch, job);
                         inflight.lock().pop_front();
                     }
-                    if rx.recv_batch(&mut batch, batch_max).is_err() {
+                    if rx.recv_batch(&mut batch, DEQUEUE_BATCH).is_err() {
                         break;
                     }
                     inflight.lock().extend(batch.drain(..));
@@ -230,9 +235,7 @@ pub(crate) fn supervisor_loop<M>(
                 &rx,
                 &shared,
                 &matcher,
-                Arc::new(Mutex::new(VecDeque::with_capacity(
-                    shared.config.dequeue_batch.max(1),
-                ))),
+                Arc::new(Mutex::new(VecDeque::with_capacity(DEQUEUE_BATCH))),
             )
         })
         .collect();

@@ -22,6 +22,7 @@
 //! cell's stamp is a charge against a departed entity racing a reuse;
 //! it is dropped rather than misattributed.
 
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -52,7 +53,7 @@ impl CostCell {
 }
 
 /// One entity's accumulated cost, as read by [`CostTable::snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CostEntry {
     /// The label registered for the entity (e.g. `entry-3`, `sub-7`).
     pub label: String,

@@ -1,29 +1,7 @@
-//! Text-escaping and name-validation helpers shared by the exporters.
-//!
-//! Prometheus and JSON each have their own quoting rules; keeping the
-//! rules here (and nowhere else) means every exporter in the workspace —
-//! the metrics registry, the span dump, the explanation dump — corrupts
-//! its output in zero ways instead of each inventing its own subset.
-
-/// Escapes a string for embedding inside a JSON string literal (without
-/// the surrounding quotes): `\`, `"`, and control characters.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+//! Prometheus text escaping and name validation for the registry's
+//! exposition output. JSON has no escaping helper: every JSON document
+//! is a derived `Serialize` value rendered by `serde_json`
+//! ([`crate::json_document`]).
 
 /// Escapes a Prometheus `# HELP` line: backslashes and line feeds (the
 /// exposition format's only two escapes in help text).
@@ -68,14 +46,6 @@ pub fn is_valid_label_name(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escapes_quotes_backslashes_and_controls() {
-        assert_eq!(escape_json(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(escape_json("line\nfeed\ttab"), "line\\nfeed\\ttab");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-        assert_eq!(escape_json("plain"), "plain");
-    }
 
     #[test]
     fn help_escapes_backslash_and_newline_only() {

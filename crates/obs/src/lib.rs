@@ -1,9 +1,10 @@
 //! # tep-obs
 //!
-//! Dependency-free observability primitives for the thematic event
-//! processing pipeline (hand-rolled in the spirit of the `vendor/`
-//! stand-ins — crates.io is not reachable from the build environment, so
-//! no `hdrhistogram`/`prometheus` dependency is possible):
+//! Observability primitives for the thematic event processing pipeline,
+//! hand-rolled in the spirit of the `vendor/` stand-ins (crates.io is not
+//! reachable from the build environment, so no `hdrhistogram`/`prometheus`
+//! dependency is possible); the only dependencies are the vendored
+//! `serde`/`serde_json` shims behind [`json_document`].
 //!
 //! * [`LatencyHistogram`] — a lock-free, log-linear-bucketed latency
 //!   histogram: recording is a handful of relaxed atomic adds, snapshots
@@ -37,6 +38,10 @@
 //!   sampled match/deliver nanoseconds to index entries and
 //!   subscribers without allocating on the hot path.
 //!
+//! * [`json_document`] — the one JSON encoder: every endpoint body,
+//!   bundle and bench report in the workspace is a `#[derive(Serialize)]`
+//!   value rendered through it.
+//!
 //! The crate is intentionally free of tep dependencies so any layer
 //! (semantics, matcher, broker, bench) can use it without cycles.
 
@@ -47,6 +52,7 @@ mod cost;
 mod dim;
 mod escape;
 mod hist;
+mod json;
 mod recorder;
 mod registry;
 mod ring;
@@ -56,11 +62,12 @@ mod topk;
 
 pub use cost::{CostEntry, CostTable, CostTotals};
 pub use dim::{CounterFamily, OVERFLOW_LABEL};
-pub use escape::{escape_json, is_valid_label_name, is_valid_metric_name};
+pub use escape::{is_valid_label_name, is_valid_metric_name};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
+pub use json::json_document;
 pub use recorder::{DiagnosticFrame, FlightRecorder, FrameWriter, RecorderConfig, WindowedDelta};
 pub use registry::MetricsRegistry;
 pub use ring::BoundedRing;
 pub use serve::{serve, ScrapeHandlers, ScrapeServer};
-pub use span::{render_spans_json, span_tree, SpanCollector, SpanNode, SpanRecord};
+pub use span::{render_spans_json, span_tree, SpanCollector, SpanJson, SpanNode, SpanRecord};
 pub use topk::TopKSketch;

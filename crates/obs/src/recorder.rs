@@ -34,13 +34,15 @@
 //!   in progress) skips the frame rather than block its caller;
 //! * bundle assembly and window reads — the rare paths — allocate freely.
 //!
-//! The crate stays dependency-free: frames carry only names, numbers,
-//! histogram snapshots and reusable strings, and the embedder passes
-//! richer context (config fingerprint, span trees, explanations) as a
-//! pre-rendered JSON object at trigger time.
+//! Frames carry only names, numbers, histogram snapshots and reusable
+//! strings, rendered to JSON only when a bundle is assembled; the
+//! embedder passes richer context (config, span trees, explanations) as
+//! a serialized [`JsonValue`] at trigger time.
 
-use crate::escape::escape_json;
 use crate::hist::HistogramSnapshot;
+use crate::json::json_document;
+use serde::Serialize;
+use serde_json::JsonValue;
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
@@ -85,7 +87,7 @@ impl Default for RecorderConfig {
 
 /// A reusable hot-theme slot inside a frame; the `String` keeps its
 /// capacity across frame resets.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Serialize)]
 struct ThemeSlot {
     name: String,
     count: u64,
@@ -190,70 +192,83 @@ impl DiagnosticFrame {
         self.themes_len = 0;
         self.costs_len = 0;
     }
+}
 
-    fn render_json(&self, out: &mut String) {
-        use fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"seq\": {}, \"at_ms\": {:.3}",
-            self.seq,
-            self.at_ns as f64 / 1e6
-        );
-        out.push_str(", \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(out, "{sep}\"{}\": {v}", escape_json(name));
+/// One frame as a bundle's `frames[]` element: the dynamic-key sections
+/// keep their write order.
+#[derive(Serialize)]
+struct FrameJson {
+    seq: u64,
+    at_ms: f64,
+    counters: JsonValue,
+    gauges: JsonValue,
+    labels: JsonValue,
+    stages: Vec<StageJson>,
+    themes: Vec<ThemeSlot>,
+    costs: Vec<CostJson>,
+}
+
+#[derive(Serialize)]
+struct StageJson {
+    stage: &'static str,
+    count: u64,
+    p50_ns: u64,
+    p99_ns: u64,
+    max_ns: u64,
+}
+
+#[derive(Serialize)]
+struct CostJson {
+    name: String,
+    ns: u64,
+}
+
+impl From<&DiagnosticFrame> for FrameJson {
+    fn from(frame: &DiagnosticFrame) -> FrameJson {
+        FrameJson {
+            seq: frame.seq,
+            at_ms: frame.at_ns as f64 / 1e6,
+            counters: frame.counters.iter().copied().collect(),
+            gauges: frame.gauges.iter().copied().collect(),
+            labels: frame.labels.iter().copied().collect(),
+            stages: frame
+                .stages()
+                .iter()
+                .map(|&(stage, ref s)| StageJson {
+                    stage,
+                    count: s.count(),
+                    p50_ns: s.p50().as_nanos() as u64,
+                    p99_ns: s.p99().as_nanos() as u64,
+                    max_ns: s.max().as_nanos() as u64,
+                })
+                .collect(),
+            themes: frame.themes[..frame.themes_len].to_vec(),
+            costs: frame.costs[..frame.costs_len]
+                .iter()
+                .map(|slot| CostJson {
+                    name: slot.name.clone(),
+                    ns: slot.count,
+                })
+                .collect(),
         }
-        out.push_str("}, \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(out, "{sep}\"{}\": {v:.3}", escape_json(name));
-        }
-        out.push_str("}, \"labels\": {");
-        for (i, (name, v)) in self.labels.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(
-                out,
-                "{sep}\"{}\": \"{}\"",
-                escape_json(name),
-                escape_json(v)
-            );
-        }
-        out.push_str("}, \"stages\": [");
-        for (i, (name, s)) in self.stages().iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(
-                out,
-                "{sep}{{\"stage\": \"{}\", \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-                escape_json(name),
-                s.count(),
-                s.p50().as_nanos(),
-                s.p99().as_nanos(),
-                s.max().as_nanos()
-            );
-        }
-        out.push_str("], \"themes\": [");
-        for (i, slot) in self.themes[..self.themes_len].iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(
-                out,
-                "{sep}{{\"name\": \"{}\", \"count\": {}}}",
-                escape_json(&slot.name),
-                slot.count
-            );
-        }
-        out.push_str("], \"costs\": [");
-        for (i, slot) in self.costs[..self.costs_len].iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(
-                out,
-                "{sep}{{\"name\": \"{}\", \"ns\": {}}}",
-                escape_json(&slot.name),
-                slot.count
-            );
-        }
-        out.push_str("]}");
     }
+}
+
+/// A diagnostic bundle: the cause, the frozen frames oldest first, and
+/// the embedder's context.
+#[derive(Serialize)]
+struct BundleJson {
+    bundle_seq: u64,
+    cause: CauseJson,
+    frames: Vec<FrameJson>,
+    context: JsonValue,
+}
+
+#[derive(Serialize)]
+struct CauseJson {
+    kind: &'static str,
+    detail: String,
+    at_ms: f64,
 }
 
 /// Write access to the frame being ticked.
@@ -636,11 +651,11 @@ impl FlightRecorder {
     }
 
     /// Fires a trigger: freezes the ring, assembles a bundle from the
-    /// frames, the cause, and the embedder's pre-rendered `context_json`
-    /// object, stores it as the latest bundle, and spools it to disk.
-    /// Returns the bundle sequence number, or `None` when the kind is
-    /// still cooling down ([`RecorderConfig::trigger_cooldown`]).
-    pub fn trigger(&self, kind: &'static str, detail: &str, context_json: &str) -> Option<u64> {
+    /// frames, the cause, and the embedder's serialized `context`,
+    /// stores it as the latest bundle, and spools it to disk. Returns
+    /// the bundle sequence number, or `None` when the kind is still
+    /// cooling down ([`RecorderConfig::trigger_cooldown`]).
+    pub fn trigger(&self, kind: &'static str, detail: &str, context: JsonValue) -> Option<u64> {
         let now_ns = self.now_ns(Instant::now());
         let mut triggers = lock_unpoisoned(&self.triggers);
         if !self.cooled_down(&triggers, kind, now_ns) {
@@ -652,7 +667,7 @@ impl FlightRecorder {
         }
         let seq = triggers.next_bundle_seq;
         triggers.next_bundle_seq += 1;
-        let bundle = self.render_bundle(seq, kind, detail, now_ns, context_json);
+        let bundle = self.render_bundle(seq, kind, detail, now_ns, context);
         self.bundles_assembled.fetch_add(1, Ordering::Relaxed);
         let bundle = Arc::new(bundle);
         *lock_unpoisoned(&self.latest) = Some(Arc::clone(&bundle));
@@ -678,34 +693,25 @@ impl FlightRecorder {
     fn render_bundle(
         &self,
         seq: u64,
-        kind: &str,
+        kind: &'static str,
         detail: &str,
         at_ns: u64,
-        context_json: &str,
+        context: JsonValue,
     ) -> String {
-        use fmt::Write;
-        let mut out = String::with_capacity(4096);
-        let _ = write!(
-            out,
-            "{{\n  \"bundle_seq\": {seq},\n  \"cause\": {{\"kind\": \"{}\", \"detail\": \"{}\", \"at_ms\": {:.3}}},\n  \"frames\": [\n",
-            escape_json(kind),
-            escape_json(detail),
-            at_ns as f64 / 1e6
-        );
-        {
-            let ring = lock_unpoisoned(&self.ring);
-            for (i, frame) in ring.iter_oldest_first().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                out.push_str("    ");
-                frame.render_json(&mut out);
-            }
-        }
-        let context = context_json.trim();
-        let context = if context.is_empty() { "{}" } else { context };
-        let _ = write!(out, "\n  ],\n  \"context\": {context}\n}}\n");
-        out
+        let frames = lock_unpoisoned(&self.ring)
+            .iter_oldest_first()
+            .map(FrameJson::from)
+            .collect();
+        json_document(&BundleJson {
+            bundle_seq: seq,
+            cause: CauseJson {
+                kind,
+                detail: detail.to_string(),
+                at_ms: at_ns as f64 / 1e6,
+            },
+            frames,
+            context,
+        })
     }
 
     fn spool(&self, triggers: &mut TriggerState, seq: u64, bundle: &str) {
@@ -742,6 +748,11 @@ mod tests {
         w.stage("queue_wait", |snap| hist.accumulate_into(snap));
         w.theme("energy policy", 5);
         w.cost("entry-3", 12_500);
+    }
+
+    /// An empty context object.
+    fn empty() -> JsonValue {
+        JsonValue::Map(Vec::new())
     }
 
     fn unique_spool(tag: &str) -> PathBuf {
@@ -795,7 +806,7 @@ mod tests {
             rec.force_tick(|w| w.counter("i", i));
         }
         assert_eq!(rec.frames(), 3);
-        rec.trigger("manual", "wrap test", "{}").expect("bundle");
+        rec.trigger("manual", "wrap test", empty()).expect("bundle");
         let bundle = rec.latest_bundle().expect("latest");
         // Only the newest three frames (seq 2, 3, 4) survive the wrap.
         assert!(!bundle.contains("\"seq\": 1,"));
@@ -809,12 +820,9 @@ mod tests {
         let rec = FlightRecorder::new(RecorderConfig::default());
         rec.force_tick(fill_basic);
         rec.force_tick(fill_basic);
+        let context = [("workers", 2u64)].into_iter().collect();
         let seq = rec
-            .trigger(
-                "worker_panic",
-                "worker 3 died: \"boom\"",
-                "{\"workers\": 2}",
-            )
+            .trigger("worker_panic", "worker 3 died: \"boom\"", context)
             .expect("first trigger fires");
         assert_eq!(seq, 0);
         let bundle = rec.latest_bundle().expect("latest bundle");
@@ -824,19 +832,28 @@ mod tests {
             bundle.contains("worker 3 died: \\\"boom\\\""),
             "detail is escaped"
         );
-        assert!(bundle.contains("\"context\": {\"workers\": 2}"));
+        let parsed: JsonValue = serde_json::from_str(&bundle).expect("bundle is JSON");
+        let workers = parsed.get("context").and_then(|c| c.get("workers"));
+        assert_eq!(workers.and_then(JsonValue::as_u64), Some(2));
         assert!(bundle.contains("\"processed\": 7"));
         assert!(bundle.contains("\"load_state\": \"healthy\""));
         assert!(bundle.contains("\"stage\": \"queue_wait\""));
         assert!(bundle.contains("\"name\": \"energy policy\""));
-        assert!(bundle.contains("\"costs\": [{\"name\": \"entry-3\", \"ns\": 12500}]"));
+        let frames = parsed.get("frames").and_then(JsonValue::as_seq).unwrap();
+        let costs = frames[0].get("costs").and_then(JsonValue::as_seq).unwrap();
+        assert_eq!(costs.len(), 1);
+        assert_eq!(
+            costs[0].get("name").and_then(JsonValue::as_str),
+            Some("entry-3")
+        );
+        assert_eq!(costs[0].get("ns").and_then(JsonValue::as_u64), Some(12_500));
         assert_eq!(rec.bundles_assembled(), 1);
     }
 
     #[test]
     fn empty_context_degrades_to_an_empty_object() {
         let rec = FlightRecorder::new(RecorderConfig::default());
-        rec.trigger("manual", "", "  \n");
+        rec.trigger("manual", "", empty());
         let bundle = rec.latest_bundle().expect("bundle");
         assert!(bundle.contains("\"context\": {}"));
     }
@@ -848,15 +865,15 @@ mod tests {
             ..RecorderConfig::default()
         });
         assert!(rec.trigger_armed("breaker_trip"));
-        assert_eq!(rec.trigger("breaker_trip", "s1", "{}"), Some(0));
+        assert_eq!(rec.trigger("breaker_trip", "s1", empty()), Some(0));
         assert!(!rec.trigger_armed("breaker_trip"));
         assert_eq!(
-            rec.trigger("breaker_trip", "s1 again", "{}"),
+            rec.trigger("breaker_trip", "s1 again", empty()),
             None,
             "same kind cools down"
         );
         assert_eq!(
-            rec.trigger("load_critical", "independent", "{}"),
+            rec.trigger("load_critical", "independent", empty()),
             Some(1),
             "distinct kinds are independent"
         );
@@ -865,8 +882,8 @@ mod tests {
             trigger_cooldown: Duration::ZERO,
             ..RecorderConfig::default()
         });
-        assert_eq!(eager.trigger("manual", "a", "{}"), Some(0));
-        assert_eq!(eager.trigger("manual", "b", "{}"), Some(1));
+        assert_eq!(eager.trigger("manual", "a", empty()), Some(0));
+        assert_eq!(eager.trigger("manual", "b", empty()), Some(1));
     }
 
     #[test]
@@ -881,7 +898,7 @@ mod tests {
         });
         rec.force_tick(fill_basic);
         for i in 0..4 {
-            assert_eq!(rec.trigger("manual", &format!("t{i}"), "{}"), Some(i));
+            assert_eq!(rec.trigger("manual", &format!("t{i}"), empty()), Some(i));
         }
         let files = rec.spool_files();
         assert_eq!(

@@ -1,9 +1,10 @@
 //! A flat metrics registry with Prometheus-text and JSON rendering.
 
-use crate::escape::{
-    escape_help, escape_json, escape_label_value, is_valid_label_name, is_valid_metric_name,
-};
+use crate::escape::{escape_help, escape_label_value, is_valid_label_name, is_valid_metric_name};
 use crate::hist::HistogramSnapshot;
+use crate::json::json_document;
+use serde::Serialize;
+use serde_json::JsonValue;
 use std::fmt::Write as _;
 
 /// Label pairs attached to one sample (empty for unlabeled metrics).
@@ -358,49 +359,67 @@ impl MetricsRegistry {
 
     /// A JSON document with counters, gauges, and per-histogram
     /// percentile summaries (nanosecond units, suffixed `_ns`). Labeled
-    /// samples are keyed by their full `name{k="v"}` series string.
+    /// samples are keyed by their full `name{k="v"}` series string, in
+    /// registration order.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, _, labels, value)) in self.coalesced_counters().iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let key = escape_json(&series(name, labels));
-            let _ = write!(out, "{sep}\n    \"{key}\": {value}");
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, _, labels, value)) in self.coalesced_gauges().iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let key = escape_json(&series(name, labels));
-            let _ = write!(out, "{sep}\n    \"{key}\": {value}");
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
         // Summaries share the histogram JSON shape (both are snapshot
         // percentile objects); names are disjoint by convention.
         let mut distributions = self.coalesced_histograms();
         distributions.extend(self.coalesced_summaries());
-        for (i, (name, _, labels, snap)) in distributions.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                concat!(
-                    "{}\n    \"{}\": {{\"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, ",
-                    "\"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}, ",
-                    "\"sum_ns\": {}}}"
-                ),
-                sep,
-                escape_json(&series(name, labels)),
-                snap.count(),
-                snap.p50().as_nanos(),
-                snap.p90().as_nanos(),
-                snap.p95().as_nanos(),
-                snap.p99().as_nanos(),
-                snap.max().as_nanos(),
-                snap.mean().as_nanos(),
-                snap.sum().as_nanos(),
-            );
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        json_document(&RegistryJson {
+            counters: self
+                .coalesced_counters()
+                .into_iter()
+                .map(|(name, _, labels, value)| (series(name, labels), value))
+                .collect(),
+            gauges: self
+                .coalesced_gauges()
+                .into_iter()
+                .map(|(name, _, labels, value)| (series(name, labels), value))
+                .collect(),
+            histograms: distributions
+                .iter()
+                .map(|(name, _, labels, snap)| {
+                    let ns = |d: std::time::Duration| d.as_nanos() as u64;
+                    let summary = DistributionJson {
+                        count: snap.count(),
+                        p50_ns: ns(snap.p50()),
+                        p90_ns: ns(snap.p90()),
+                        p95_ns: ns(snap.p95()),
+                        p99_ns: ns(snap.p99()),
+                        max_ns: ns(snap.max()),
+                        mean_ns: ns(snap.mean()),
+                        sum_ns: ns(snap.sum()),
+                    };
+                    let value =
+                        serde_json::to_value(&summary).expect("plain data always serializes");
+                    (series(name, labels), value)
+                })
+                .collect(),
+        })
     }
+}
+
+/// The [`MetricsRegistry::render_json`] document; each section maps a
+/// series key to its value.
+#[derive(Serialize)]
+struct RegistryJson {
+    counters: JsonValue,
+    gauges: JsonValue,
+    histograms: JsonValue,
+}
+
+/// One histogram or summary in [`RegistryJson`], in nanoseconds.
+#[derive(Serialize)]
+struct DistributionJson {
+    count: u64,
+    p50_ns: u64,
+    p90_ns: u64,
+    p95_ns: u64,
+    p99_ns: u64,
+    max_ns: u64,
+    mean_ns: u64,
+    sum_ns: u64,
 }
 
 #[cfg(test)]
@@ -639,8 +658,16 @@ mod tests {
         assert!(text.contains("tep_stage_match_summary_seconds{window=\"10s\",quantile=\"0.5\"}"));
         assert!(text.contains("tep_stage_match_summary_seconds_count{window=\"10s\"} 3"));
         // The JSON document carries the same snapshot percentiles.
-        let json = r.render_json();
-        assert!(json.contains("\"tep_stage_match_summary_seconds\": {\"count\": 3"));
+        let json: JsonValue = serde_json::from_str(&r.render_json()).unwrap();
+        let summary = json
+            .get("histograms")
+            .and_then(|h| h.get("tep_stage_match_summary_seconds"));
+        assert_eq!(
+            summary
+                .and_then(|s| s.get("count"))
+                .and_then(JsonValue::as_u64),
+            Some(3)
+        );
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! events and the hot path pays nothing for unsampled traffic beyond one
 //! modulo.
 
-use crate::escape::escape_json;
+use crate::json::json_document;
 use crate::ring::BoundedRing;
-use std::fmt::Write as _;
+use serde::Serialize;
+use serde_json::JsonValue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -203,36 +204,40 @@ pub fn span_tree(records: &[SpanRecord], seq: u64) -> Vec<SpanNode> {
         .collect()
 }
 
-/// Renders a flat span dump as a JSON array (one object per span, with
-/// `parent: null` for roots and attrs as a string map).
-pub fn render_spans_json(records: &[SpanRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// One span as a JSON object (`parent: null` for roots, attrs as a string
+/// map in recording order): a span dump or bundle `context.spans` element.
+#[derive(Debug, Serialize)]
+pub struct SpanJson {
+    id: u64,
+    parent: Option<u64>,
+    seq: u64,
+    name: &'static str,
+    start_ns: u64,
+    duration_ns: u64,
+    attrs: JsonValue,
+}
+
+impl From<&SpanRecord> for SpanJson {
+    fn from(r: &SpanRecord) -> SpanJson {
+        SpanJson {
+            id: r.id,
+            parent: r.parent,
+            seq: r.seq,
+            name: r.name,
+            start_ns: r.start_ns,
+            duration_ns: r.duration_ns,
+            attrs: r
+                .attrs
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect(),
         }
-        let _ = write!(
-            out,
-            "\n  {{\"id\": {}, \"parent\": {}, \"seq\": {}, \"name\": \"{}\", \
-             \"start_ns\": {}, \"duration_ns\": {}, \"attrs\": {{",
-            r.id,
-            r.parent
-                .map_or_else(|| "null".to_string(), |p| p.to_string()),
-            r.seq,
-            escape_json(r.name),
-            r.start_ns,
-            r.duration_ns,
-        );
-        for (j, (k, v)) in r.attrs.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": \"{}\"", escape_json(k), escape_json(v));
-        }
-        out.push_str("}}");
     }
-    out.push_str("\n]\n");
-    out
+}
+
+/// Renders a flat span dump as a JSON array of [`SpanJson`] objects.
+pub fn render_spans_json(records: &[SpanRecord]) -> String {
+    json_document(&records.iter().map(SpanJson::from).collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -340,6 +345,7 @@ mod tests {
             json.matches(['{', '[']).count(),
             json.matches(['}', ']']).count()
         );
-        assert_eq!(render_spans_json(&[]), "[\n]\n");
+        let empty: JsonValue = serde_json::from_str(&render_spans_json(&[])).unwrap();
+        assert_eq!(empty.as_seq(), Some(&[][..]));
     }
 }

@@ -310,3 +310,38 @@ fn readiness_splits_from_liveness() {
     assert!(!ready, "closed broker is not ready: {body}");
     b.shutdown();
 }
+
+/// The bundle's `context.config` is the full config object, and its
+/// fingerprint hashes all of it: configs differing in one overload
+/// threshold or in one observability switch fingerprint apart, while the
+/// same config on two brokers fingerprints alike.
+#[test]
+fn config_fingerprint_covers_every_setting() {
+    let fingerprint = |config: BrokerConfig| {
+        let b = recorder_broker(config);
+        b.trigger_diagnostic("fingerprint").expect("bundle");
+        let bundle = b.latest_bundle_json().expect("bundle retained");
+        b.shutdown();
+        let parsed: JsonValue = serde_json::from_str(&bundle).expect("bundle is JSON");
+        let context = parsed.get("context").expect("context object");
+        assert!(
+            context.get("config").and_then(JsonValue::as_map).is_some(),
+            "context.config is the config object"
+        );
+        context
+            .get("config_fingerprint")
+            .and_then(JsonValue::as_str)
+            .expect("fingerprint")
+            .to_string()
+    };
+    let overload = |elevated_wait_ms| {
+        BrokerConfig::default().with_overload_control(OverloadConfig {
+            elevated_wait_ms,
+            ..OverloadConfig::default()
+        })
+    };
+    assert_ne!(fingerprint(overload(5.0)), fingerprint(overload(50.0)));
+    let labeled = |on| BrokerConfig::default().with_labeled_metrics(on);
+    assert_ne!(fingerprint(labeled(false)), fingerprint(labeled(true)));
+    assert_eq!(fingerprint(labeled(true)), fingerprint(labeled(true)));
+}

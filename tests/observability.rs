@@ -2,6 +2,7 @@
 //! histograms, the metrics registry export, match explanations, causal
 //! span trees, and the scrape endpoints.
 
+use serde_json::JsonValue;
 use std::sync::Arc;
 use std::time::Duration;
 use tep::prelude::*;
@@ -214,7 +215,16 @@ fn metrics_export_prometheus_and_json() {
 
     let json = b.metrics().render_json();
     assert!(json.contains("\"tep_published_total\": 8"));
-    assert!(json.contains("\"tep_stage_queue_wait_seconds\": {\"count\": 8,"));
+    let parsed: JsonValue = serde_json::from_str(&json).expect("metrics JSON parses");
+    let queue_wait = parsed
+        .get("histograms")
+        .and_then(|h| h.get("tep_stage_queue_wait_seconds"));
+    assert_eq!(
+        queue_wait
+            .and_then(|q| q.get("count"))
+            .and_then(JsonValue::as_u64),
+        Some(8)
+    );
     assert!(json.contains("\"p99_ns\""));
     // Braces balance (cheap well-formedness check without a JSON parser).
     assert_eq!(
@@ -1076,7 +1086,7 @@ fn concurrent_scrapes_of_all_endpoints_under_publish_load() {
                             .1;
                         assert_eq!(body.len(), length, "{tag}: torn body");
                         if path != "/metrics" {
-                            serde_json::from_str::<serde_json::JsonValue>(body)
+                            serde_json::from_str::<JsonValue>(body)
                                 .unwrap_or_else(|e| panic!("{tag}: torn JSON {e:?} in {body}"));
                         }
                     }
@@ -1097,4 +1107,89 @@ fn concurrent_scrapes_of_all_endpoints_under_publish_load() {
     assert!(costs.enabled && costs.samples > 0, "cost attribution ran");
     server.shutdown();
     b.close();
+}
+
+/// One escaping rule on every JSON surface: a hostile theme tag (quote,
+/// backslash, newline, a control character, non-ASCII) reaches
+/// `/explain`, `/top`, `/costs` and the metrics JSON, and a hostile
+/// manual-trigger detail reaches `/debug/bundle`. Every body parses and
+/// each string comes back unchanged.
+#[test]
+fn hostile_strings_round_trip_through_every_json_surface() {
+    const TAG: &str = "tag \"q\" \\ back\nslash \u{1} \u{fc}ber";
+    const DETAIL: &str = "detail \"q\" \\ back\nslash \u{1} \u{1f980}";
+    let b = exact_broker(
+        BrokerConfig::default()
+            .with_workers(1)
+            .with_labeled_metrics(true)
+            .with_cost_attribution(1)
+            .with_explain_capacity(32)
+            .with_flight_recorder(RecorderSettings::default()),
+    );
+    let (_, rx) = b.subscribe(parse_subscription("{k= v}").unwrap()).unwrap();
+    // Events decoded from JSON keep their tags verbatim; the builder
+    // would fold the newline into a space.
+    let template = Event::builder()
+        .theme_tag("placeholder")
+        .tuple("k", "v")
+        .build()
+        .unwrap();
+    let raw = serde_json::to_string(&template)
+        .unwrap()
+        .replace("\"placeholder\"", &serde_json::to_string(TAG).unwrap());
+    let event: Event = serde_json::from_str(&raw).unwrap();
+    assert_eq!(event.theme_tags(), [TAG]);
+    for _ in 0..4 {
+        b.publish(event.clone()).unwrap();
+    }
+    b.flush().unwrap();
+    b.trigger_diagnostic(DETAIL).expect("manual bundle");
+    let parse = |surface: &str, body: &str| -> JsonValue {
+        serde_json::from_str(body).unwrap_or_else(|e| panic!("{surface}: {e}\n{body}"))
+    };
+    let str_field =
+        |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_str).map(String::from);
+    let seq = |v: &JsonValue| v.as_seq().map(<[JsonValue]>::to_vec).unwrap_or_default();
+
+    let explain = parse("/explain", &render_explanations_json(&b.explain_last(32)));
+    assert!(!seq(&explain).is_empty());
+    for e in seq(&explain) {
+        let themes = e.get("event_themes").map(seq).unwrap_or_default();
+        assert_eq!(themes, [JsonValue::Str(TAG.to_string())], "/explain");
+    }
+
+    let top = parse("/top", &b.top_json(10));
+    let names: Vec<_> = top.get("themes").map(seq).unwrap_or_default();
+    assert!(
+        names
+            .iter()
+            .any(|t| str_field(t, "name").as_deref() == Some(TAG)),
+        "/top: {top:?}"
+    );
+
+    let costs = parse("/costs", &b.costs_json());
+    let rows = costs.get("themes").map(seq).unwrap_or_default();
+    assert!(
+        rows.iter()
+            .any(|t| str_field(t, "label").as_deref() == Some(TAG)),
+        "/costs: {costs:?}"
+    );
+
+    // The metrics JSON keys series by their Prometheus spelling, whose
+    // label value carries the exposition format's own escapes.
+    let metrics = parse("/metrics.json", &b.metrics().render_json());
+    let prom_value = TAG
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n");
+    let key = format!("tep_theme_match_tests_total{{theme=\"{prom_value}\"}}");
+    let count = metrics.get("counters").and_then(|c| c.get(&key));
+    assert_eq!(count.and_then(JsonValue::as_u64), Some(4), "/metrics.json");
+
+    let bundle = b.latest_bundle_json().expect("bundle");
+    let bundle = parse("/debug/bundle", &bundle);
+    let cause = bundle.get("cause").expect("cause");
+    assert_eq!(str_field(cause, "detail").as_deref(), Some(DETAIL));
+    drop(rx);
+    b.shutdown();
 }
