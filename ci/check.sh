@@ -23,6 +23,12 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> channel tests, release mode"
+# The optimiser orders the channel's parked-waiter bookkeeping
+# differently from a debug build; the lost-wakeup stress test must pass
+# under both.
+cargo test -p crossbeam --release --offline -q
+
 echo "==> broker_bench: fmt --check, clippy -D warnings, release build"
 # The benchmark is a Cargo workspace of its own, so the workspace-wide
 # steps above never see it.

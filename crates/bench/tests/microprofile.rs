@@ -3,7 +3,8 @@
 //! Ignored by default; run with
 //! `cargo test --release -p tep-bench --test microprofile -- --ignored --nocapture`
 //! to print a per-component cost breakdown of one thematic match test,
-//! and the cost of a warm test when one and two threads share a matcher.
+//! the cost of a warm test when one and two threads share a matcher, and
+//! the cost of one channel round trip with no parked peer.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -275,4 +276,28 @@ fn thematic_two_thread_contention() {
         "memo              {} hits, {} misses",
         memo.hits, memo.misses
     );
+}
+
+#[test]
+#[ignore = "manual profiling aid, run with --ignored --nocapture"]
+fn channel_wake_cost() {
+    // One `try_send` + `drain_into` round with no thread parked on either
+    // side: the path every delivered notification takes. The traced
+    // ledger folds this cost into `broker.deliver_ns_p50`; here it stands
+    // alone, so a wake call that reaches no one shows as a jump in ns.
+    let (tx, rx) = crossbeam::channel::bounded::<u64>(256);
+    let mut buf = Vec::with_capacity(1);
+    let rounds = 1_000_000u64;
+    let best = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            for i in 0..rounds {
+                tx.try_send(i).unwrap();
+                std::hint::black_box(rx.drain_into(&mut buf, 1).unwrap());
+                buf.clear();
+            }
+            start.elapsed().as_nanos() as f64 / rounds as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    println!("channel round     {best:>8.1} ns per try_send + drain_into, no parked peer");
 }

@@ -2041,6 +2041,56 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_shares_one_result_across_identity_members() {
+        let b = broker();
+        let subscribe = |text: &str| {
+            let subscription = parse_subscription(text).unwrap();
+            let (_, rx) = b.subscribe(subscription.clone()).unwrap();
+            (subscription, rx)
+        };
+        // Three verbatim clones and one twin declaring its predicates in
+        // the other order: one index entry, one match test.
+        let identity: Vec<_> = (0..3).map(|_| subscribe("{a= 1, b= 2}").1).collect();
+        let (permuted_sub, permuted_rx) = subscribe("{b= 2, a= 1}");
+        let event = parse_event("{b: 2, a: 1}").unwrap();
+        b.publish(event.clone()).unwrap();
+        b.flush().unwrap();
+        assert_eq!(b.stats().match_tests, 1, "one test serves the entry");
+
+        let results: Vec<_> = identity
+            .iter()
+            .map(|rx| rx.try_recv().expect("delivered").result)
+            .collect();
+        assert!(Arc::ptr_eq(&results[0], &results[1]));
+        assert!(Arc::ptr_eq(&results[0], &results[2]));
+        let permuted = permuted_rx.try_recv().expect("delivered").result;
+        assert!(!Arc::ptr_eq(&results[0], &permuted));
+        // Per mapping, the (predicate, tuple) pairs in predicate order.
+        let correspondences = |r: &MatchResult| -> Vec<Vec<(usize, usize)>> {
+            r.mappings()
+                .iter()
+                .map(|m| {
+                    let mut pairs: Vec<_> = m
+                        .correspondences()
+                        .iter()
+                        .map(|c| (c.predicate, c.tuple))
+                        .collect();
+                    pairs.sort_unstable();
+                    pairs
+                })
+                .collect()
+        };
+        let direct = ExactMatcher::new().match_event(&permuted_sub, &event);
+        assert_eq!(correspondences(&permuted), correspondences(&direct));
+        assert_ne!(
+            correspondences(&permuted),
+            correspondences(&results[0]),
+            "the twin's result is remapped into its own predicate order"
+        );
+        b.shutdown();
+    }
+
+    #[test]
     fn unsubscribe_stops_delivery() {
         let b = broker();
         let (id, rx) = b.subscribe(parse_subscription("{a= 1}").unwrap()).unwrap();

@@ -17,7 +17,11 @@ pub struct Notification {
     /// The published event (shared, not copied per subscriber).
     pub event: Arc<Event>,
     /// The matcher's result (score ≥ the broker's delivery threshold).
-    pub result: MatchResult,
+    /// Shared, not copied per subscriber: every member of an index entry
+    /// whose predicates are declared in the entry representative's order
+    /// receives the same `Arc`; a member with a permuted declaration
+    /// order gets its own result, remapped into that order.
+    pub result: Arc<MatchResult>,
     /// The full match explanation, present only for subscribers that
     /// opted in via [`crate::SubscribeOptions::explain`]. Boxed: the
     /// common (unexplained) notification stays small.
@@ -40,7 +44,7 @@ mod tests {
         let n = Notification {
             subscription: SubscriptionId(7),
             event: Arc::new(Event::builder().tuple("a", "b").build().unwrap()),
-            result: MatchResult::no_match(),
+            result: Arc::new(MatchResult::no_match()),
             explanation: None,
         };
         assert_eq!(n.score(), 0.0);

@@ -151,6 +151,16 @@ fn perm_between(rep: &Subscription, member: &Subscription) -> Option<Box<[usize]
     Some(perm)
 }
 
+/// `result` translated by `perm` into another predicate order: the same
+/// `Arc` when the orders coincide (`None`), so one result serves every
+/// identity-order subscriber instead of being copied per subscriber.
+fn remapped(result: &Arc<MatchResult>, perm: Option<&[usize]>) -> Arc<MatchResult> {
+    match perm {
+        Some(perm) => Arc::new(result.with_remapped_predicates(perm)),
+        None => Arc::clone(result),
+    }
+}
+
 /// One subscriber behind an entry: its id, its registration (delivery
 /// channel, breaker, explain opt-in), and the predicate-index permutation
 /// from the representative's declaration order to this subscriber's.
@@ -162,12 +172,9 @@ pub(crate) struct FanoutMember {
 
 impl FanoutMember {
     /// The representative's `MatchResult` translated into this member's
-    /// predicate order.
-    pub(crate) fn result_for(&self, result: &MatchResult) -> MatchResult {
-        match &self.perm {
-            Some(perm) => result.with_remapped_predicates(perm),
-            None => result.clone(),
-        }
+    /// predicate order (shared when the orders coincide).
+    pub(crate) fn result_for(&self, result: &Arc<MatchResult>) -> Arc<MatchResult> {
+        remapped(result, self.perm.as_deref())
     }
 }
 
@@ -212,7 +219,7 @@ pub(crate) struct IndexEntry {
     /// at insert), so pruning never needs transitive chasing.
     supersets: Vec<EdgeRef>,
     /// Entries with an equal predicate multiset under another theme: a hit
-    /// here short-circuits their tests with a permuted clone of the result.
+    /// here short-circuits their tests with the (permuted) result.
     twins: Vec<TwinEdge>,
 }
 
@@ -615,7 +622,7 @@ pub(crate) struct DispatchScratch {
     verdict_gen: Vec<u64>,
     verdict_uid: Vec<u64>,
     verdict: Vec<Option<Verdict>>,
-    twin_results: Vec<Option<MatchResult>>,
+    twin_results: Vec<Option<Arc<MatchResult>>>,
 }
 
 impl DispatchScratch {
@@ -673,7 +680,7 @@ impl DispatchScratch {
     }
 
     /// Takes the twin-hit result stored for `entry`, if any.
-    pub(crate) fn take_twin_hit(&mut self, entry: &IndexEntry) -> Option<MatchResult> {
+    pub(crate) fn take_twin_hit(&mut self, entry: &IndexEntry) -> Option<Arc<MatchResult>> {
         let s = entry.slot as usize;
         if self.verdict_gen[s] == self.generation
             && self.verdict_uid[s] == entry.uid
@@ -696,21 +703,18 @@ impl DispatchScratch {
     }
 
     /// Records a hit on `entry`: candidate twins are short-circuited with
-    /// a (permuted) clone of `result`.
-    pub(crate) fn record_hit(&mut self, entry: &IndexEntry, result: &MatchResult) {
+    /// `result`, shared when the predicate orders coincide and permuted
+    /// into a fresh result otherwise.
+    pub(crate) fn record_hit(&mut self, entry: &IndexEntry, result: &Arc<MatchResult>) {
         for edge in &entry.twins {
             let s = edge.slot as usize;
             if self.seen[s] != self.generation || self.verdict_gen[s] == self.generation {
                 continue;
             }
-            let twin_result = match &edge.perm {
-                Some(perm) => result.with_remapped_predicates(perm),
-                None => result.clone(),
-            };
             self.verdict_gen[s] = self.generation;
             self.verdict_uid[s] = edge.uid;
             self.verdict[s] = Some(Verdict::TwinHit);
-            self.twin_results[s] = Some(twin_result);
+            self.twin_results[s] = Some(remapped(result, edge.perm.as_deref()));
         }
     }
 }
@@ -873,17 +877,18 @@ mod tests {
         assert!(scratch.is_pruned(&big));
         assert!(scratch.is_pruned(&twin), "equal sets cover each other");
 
-        // A hit on one twin short-circuits the other with a cloned result.
+        // A hit on one twin short-circuits the other, sharing its result
+        // (one predicate: the orders coincide).
         index.collect_candidates(&event, false, &mut scratch);
-        let result = tep_matcher::ExactMatcher::new().match_event(
+        let result = Arc::new(tep_matcher::ExactMatcher::new().match_event(
             &small.representative,
             &tep_events::parse_event("{a: 1}").unwrap(),
-        );
+        ));
         assert!(result.is_match(1.0));
         scratch.record_hit(&small, &result);
         assert!(!scratch.is_pruned(&twin));
         let stored = scratch.take_twin_hit(&twin).expect("twin hit recorded");
-        assert_eq!(stored.score(), result.score());
+        assert!(Arc::ptr_eq(&stored, &result));
         assert!(
             scratch.take_twin_hit(&big).is_none(),
             "strict supersets are not twin-hit"

@@ -40,7 +40,9 @@ use tep_matcher::{MatchResult, Matcher};
 const SUPERVISOR_POLL: Duration = Duration::from_millis(1);
 
 /// Maximum jobs a worker drains from the ingress queue per `recv_batch`:
-/// one lock acquisition and wakeup amortized over up to this many events.
+/// one lock acquisition amortized over up to this many events, plus one
+/// wake call for the blocked publishers it frees — none when no
+/// publisher is parked.
 /// A crashed worker's whole undispatched batch is re-enqueued or
 /// quarantined.
 const DEQUEUE_BATCH: usize = 32;
@@ -420,7 +422,8 @@ struct FanOut<'a, M: ?Sized> {
 
 impl<M: Matcher + ?Sized> FanOut<'_, M> {
     /// Permutes the entry's verdict into each member's predicate order
-    /// (`FanoutMember::result_for`) and hands the member's result to the
+    /// (`FanoutMember::result_for`: members in the representative's order
+    /// share the verdict's `Arc`) and hands the member's result to the
     /// observers — quality sampler, explain ring, per-subscriber
     /// explanation, cost, spans — and, above the threshold, to
     /// [`deliver`]. `verdict` is the entry's result (a tested hit, a twin
@@ -432,7 +435,7 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
     fn fan_out(
         &mut self,
         entry: &IndexEntry,
-        verdict: Result<&MatchResult, &str>,
+        verdict: Result<&Arc<MatchResult>, &str>,
         temperature: CacheTemperature,
         mut start: Instant,
         match_span: Option<u64>,
@@ -805,7 +808,7 @@ fn process_event<M>(
                 // matcher would have returned.
                 shard.covered_skips.fetch_add(1, Ordering::Relaxed);
                 if observed {
-                    let verdict = MatchResult::no_match();
+                    let verdict = Arc::new(MatchResult::no_match());
                     let start = Instant::now();
                     fan.fan_out(
                         &entry,
@@ -901,14 +904,10 @@ fn process_event<M>(
         let score = result.score();
         let mapped = !result.is_empty();
         let delivering = mapped && result.is_match(shared.config.delivery_threshold);
-        if covering {
-            if !mapped {
-                // Conjunctive matcher: a predicate unsupported here stays
-                // unsupported in every superset entry.
-                scratch.record_miss(&entry);
-            } else if delivering {
-                scratch.record_hit(&entry, &result);
-            }
+        if covering && !mapped {
+            // Conjunctive matcher: a predicate unsupported here stays
+            // unsupported in every superset entry.
+            scratch.record_miss(&entry);
         }
         let match_span = route_span.map(|route| {
             shared.spans.record_new(
@@ -929,6 +928,12 @@ fn process_event<M>(
         });
         let mut deliver_ns = 0;
         if delivering || observed {
+            // One shared result serves the fan-out and any twin hits; the
+            // no-match path never allocates it.
+            let result = Arc::new(result);
+            if covering && delivering {
+                scratch.record_hit(&entry, &result);
+            }
             // Stage 3 (deliver) starts at the match decision.
             deliver_ns = fan.fan_out(
                 &entry,
