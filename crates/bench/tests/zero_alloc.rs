@@ -83,7 +83,8 @@ fn theme_routed_steady_state_allocates_nothing() {
     // candidate `Vec` (plus a dedup set) per event on the ThemeOverlap
     // path. The subscription index serves candidates from the worker's
     // reusable scratch, so the routed path must now hold the same
-    // zero-allocation guarantee as the broadcast path above.
+    // zero-allocation guarantee as the broadcast path above — also after
+    // a subscription write has forced a candidate plan rebuild.
     let allocated = tep_bench::alloc::count_window(
         || {
             let broker = Broker::start(
@@ -139,6 +140,22 @@ fn theme_routed_steady_state_allocates_nothing() {
                 broker.publish_arc(Arc::clone(&event)).expect("publish");
             }
             broker.flush_timeout(FLUSH).expect("warmup flush");
+            // A write after warm-up stales the worker's cached candidate
+            // plan; the next event rebuilds it. The window below must
+            // then run on the rebuilt plan without allocating.
+            let late = Subscription::builder()
+                .theme_tag("grid")
+                .predicate_exact("office", "nowhere")
+                .predicate_exact("device", "never-present")
+                .build()
+                .expect("subscription");
+            let (_id, _rx) = broker.subscribe(late).expect("subscribe");
+            broker.publish_arc(Arc::clone(&event)).expect("publish");
+            broker.flush_timeout(FLUSH).expect("rebuild flush");
+            // The late entry covers the first one, so the rebuilt plan
+            // prunes it: two tests and now two covered skips per event.
+            let stats = broker.stats();
+            assert_eq!((stats.match_tests, stats.covered_skips), (513 * 2, 512 + 2));
             (broker, event)
         },
         publish_steady_state,

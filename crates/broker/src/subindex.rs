@@ -33,15 +33,24 @@
 //! broadcast list that every event visits; themed entries are bucketed
 //! under each of their *canonical* theme tags (normalized, deduplicated —
 //! a subscription deserialized with `["power","power"]` enters its bucket
-//! once). Candidate collection writes into a reusable per-worker
-//! [`DispatchScratch`], so the dispatch hot path stays allocation-free.
+//! once).
+//!
+//! Candidate collection is cached: each worker's [`DispatchScratch`]
+//! keeps a small direct-mapped table of **plans** — the deduplicated,
+//! sweep-ordered entry list for one routing key (broadcast, or one event
+//! theme) — stamped with the index version they were built at. Every
+//! index write bumps the version under the write lock, so a plan is
+//! reused only while the index is exactly as it was when the plan was
+//! built; a stale or missing plan is rebuilt in place. The sweep borrows
+//! the plan, so the hot path neither locks the index nor touches an
+//! entry's reference count, and stays allocation-free.
 //!
 //! [`Matcher::covering_safe`]: tep_matcher::Matcher::covering_safe
 
 use crate::broker::{Registration, SubscriptionId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tep_events::{ComparisonOp, Event, Predicate, Subscription};
 use tep_matcher::MatchResult;
@@ -178,8 +187,9 @@ impl FanoutMember {
     }
 }
 
-/// A covering edge to another entry, validated by `(slot, uid)` so edges
-/// left behind by a removed entry can never hit a recycled slot.
+/// A covering edge to another entry, by `(slot, uid)`: a verdict it
+/// records is read back only for the entry with that uid, never for a
+/// later occupant of a recycled slot.
 #[derive(Debug, Clone, Copy)]
 struct EdgeRef {
     slot: u32,
@@ -293,6 +303,11 @@ struct IndexInner {
 /// The broker-wide subscription index.
 pub(crate) struct SubscriptionIndex {
     inner: RwLock<IndexInner>,
+    /// Bumped under the write lock by every write (see
+    /// [`SubscriptionIndex::write`]); a cached [`Plan`] is valid only
+    /// while it equals the plan's stamp. Starts at 1 so a never-built
+    /// plan (stamp 0) is always stale.
+    version: AtomicU64,
     subscribers: AtomicUsize,
     entries: AtomicUsize,
     distinct_predsets: AtomicUsize,
@@ -302,10 +317,24 @@ impl SubscriptionIndex {
     pub(crate) fn new() -> SubscriptionIndex {
         SubscriptionIndex {
             inner: RwLock::new(IndexInner::default()),
+            version: AtomicU64::new(1),
             subscribers: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
             distinct_predsets: AtomicUsize::new(0),
         }
+    }
+
+    /// The write lock, with the version bumped under it. Every write —
+    /// insert, duplicate join, remove (and so reap), covering-edge
+    /// rewrite — goes through here, so no cached plan outlives a write:
+    /// a dispatcher that loads the version after the bump misses its
+    /// plan and rebuilds under the read lock, which waits for the write
+    /// to finish; one that loaded it before the bump dispatches as if
+    /// its event had been routed before the write began.
+    fn write(&self) -> parking_lot::RwLockWriteGuard<'_, IndexInner> {
+        let inner = self.inner.write();
+        self.version.fetch_add(1, Ordering::Release);
+        inner
     }
 
     /// Total subscribers across all entries.
@@ -333,7 +362,7 @@ impl SubscriptionIndex {
         let theme_id = theme_for_tags(sub.theme_tags());
         let theme = resolve_theme(theme_id);
         let key = EntryKey::of(sub, theme_id);
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
 
         if let Some(&slot) = inner.by_key.get(&key) {
             let entry = inner.slots[slot as usize]
@@ -475,14 +504,17 @@ impl SubscriptionIndex {
     }
 
     /// Removes a subscriber; drops its entry (and the entry's leaves) when
-    /// the fan-out empties. Covering edges pointing at the dropped entry
-    /// are left in place — they are invalidated by uid and a recycled slot
-    /// always gets a fresh uid.
+    /// the fan-out empties, and rewrites every related entry without its
+    /// covering edges to the dropped one. A left-behind edge could not
+    /// resolve (a recycled slot gets a fresh uid), but its verdict would
+    /// still claim the recycled slot for the event and so block the new
+    /// occupant's own prune or twin hit; and under churn the edge lists
+    /// of long-lived entries would grow without bound.
     pub(crate) fn remove(&self, id: SubscriptionId, sub: &Subscription) {
         let theme_id = theme_for_tags(sub.theme_tags());
         let theme = resolve_theme(theme_id);
         let key = EntryKey::of(sub, theme_id);
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let Some(&slot) = inner.by_key.get(&key) else {
             return;
         };
@@ -507,6 +539,36 @@ impl SubscriptionIndex {
         inner.slots[slot as usize] = None;
         inner.free.push(slot);
         inner.by_key.remove(&key);
+        let mut unique = key.preds.to_vec();
+        unique.dedup();
+        // Related entries share a predicate, so the removed entry's
+        // predicate buckets hold every entry with an edge to it.
+        let dead = |s: u32, u: u64| s == slot && u == entry.uid;
+        for k in &unique {
+            for i in 0..inner.by_pred.get(k).map_or(0, Vec::len) {
+                let s = inner.by_pred[k][i] as usize;
+                let Some(other) = inner.slots[s].as_ref() else {
+                    continue;
+                };
+                if other.supersets.iter().any(|e| dead(e.slot, e.uid))
+                    || other.twins.iter().any(|e| dead(e.slot, e.uid))
+                {
+                    let supersets = other
+                        .supersets
+                        .iter()
+                        .filter(|e| !dead(e.slot, e.uid))
+                        .copied()
+                        .collect();
+                    let twins = other
+                        .twins
+                        .iter()
+                        .filter(|e| !dead(e.slot, e.uid))
+                        .cloned()
+                        .collect();
+                    inner.slots[s] = Some(Arc::new(other.with_edges(supersets, twins)));
+                }
+            }
+        }
         if theme.is_empty() {
             inner.broadcast.retain(|&s| s != slot);
         } else {
@@ -519,8 +581,6 @@ impl SubscriptionIndex {
                 }
             }
         }
-        let mut unique = key.preds.to_vec();
-        unique.dedup();
         for k in &unique {
             if let Some(bucket) = inner.by_pred.get_mut(k) {
                 bucket.retain(|&s| s != slot);
@@ -545,49 +605,80 @@ impl SubscriptionIndex {
         self.entries.store(inner.by_key.len(), Ordering::Relaxed);
     }
 
-    /// Collects the candidate entries for `event` into `scratch` without
-    /// allocating in steady state: broadcast entries always, plus (unless
-    /// `all_entries`) the buckets of each canonical event tag, deduplicated
-    /// by generation stamp. Entries are swept exact-first, smallest
-    /// predicate set first (S-ToPSS layering: cheap, most-covering tests
-    /// lead). Returns `(total_subscribers, candidate_subscribers)`.
-    pub(crate) fn collect_candidates(
+    /// The candidate plan for `event` — broadcast entries always, plus
+    /// (unless `all_entries`) the entries bucketed under each canonical
+    /// event tag — and the verdict state for sweeping it. A hit on the
+    /// worker's cached plan costs one version load and one table lookup;
+    /// a miss rebuilds the plan under the read lock.
+    pub(crate) fn collect_candidates<'s>(
         &self,
         event: &Event,
         all_entries: bool,
-        scratch: &mut DispatchScratch,
-    ) -> (u64, u64) {
+        scratch: &'s mut DispatchScratch,
+    ) -> Sweep<'s> {
+        let key = PlanKey {
+            all_entries,
+            theme: if all_entries {
+                ThemeId::EMPTY
+            } else {
+                theme_for_tags(event.theme_tags())
+            },
+        };
+        // Pairs with the bump's Release; the rebuild itself reads the
+        // index under the read lock.
+        let version = self.version.load(Ordering::Acquire);
+        let plan = &mut scratch.plans[key.slot()];
+        if plan.version != version || plan.key != key {
+            self.build_plan(key, plan);
+        }
+        scratch.verdicts.begin(plan.members.len() * 64);
+        Sweep {
+            plan,
+            verdicts: &mut scratch.verdicts,
+        }
+    }
+
+    /// Rebuilds `plan` for `key` from the index, reusing its buffers:
+    /// candidates deduplicated through the membership bitset and sorted
+    /// exact-first, smallest predicate set first (S-ToPSS layering:
+    /// cheap, most-covering tests lead).
+    fn build_plan(&self, key: PlanKey, plan: &mut Plan) {
         let inner = self.inner.read();
-        scratch.begin(inner.slots.len());
-        if all_entries {
-            for slot in inner.slots.iter().flatten() {
-                scratch.push(slot);
+        plan.entries.clear();
+        plan.members.clear();
+        plan.members.resize(inner.slots.len().div_ceil(64), 0);
+        let add = |plan: &mut Plan, s: u32| {
+            if let Some(e) = inner.slots[s as usize].as_ref() {
+                if !plan.contains(s) {
+                    plan.members[s as usize / 64] |= 1 << (s % 64);
+                    plan.entries.push(Arc::clone(e));
+                }
+            }
+        };
+        if key.all_entries {
+            for s in 0..inner.slots.len() as u32 {
+                add(plan, s);
             }
         } else {
             for &s in &inner.broadcast {
-                if let Some(e) = inner.slots[s as usize].as_ref() {
-                    scratch.push(e);
-                }
+                add(plan, s);
             }
-            if !event.theme_tags().is_empty() {
-                let theme = resolve_theme(theme_for_tags(event.theme_tags()));
-                for tag in theme.tags() {
-                    if let Some(bucket) = inner.by_tag.get(tag) {
-                        for &s in bucket {
-                            if let Some(e) = inner.slots[s as usize].as_ref() {
-                                scratch.push(e);
-                            }
-                        }
+            if !key.theme.is_empty_theme() {
+                for tag in resolve_theme(key.theme).tags() {
+                    for &s in inner.by_tag.get(tag).into_iter().flatten() {
+                        add(plan, s);
                     }
                 }
             }
         }
-        drop(inner);
-        scratch
-            .entries
+        plan.entries
             .sort_unstable_by_key(|e| (e.approx, e.key.preds.len()));
-        let candidate_subs: u64 = scratch.entries.iter().map(|e| e.fanout_len() as u64).sum();
-        (self.subscriber_count() as u64, candidate_subs)
+        plan.candidate_subs = plan.entries.iter().map(|e| e.fanout_len() as u64).sum();
+        // Writers bump the version and change the subscriber count under
+        // the write lock, so both are stable while the read lock is held.
+        plan.total_subs = self.subscriber_count() as u64;
+        plan.version = self.version.load(Ordering::Acquire);
+        plan.key = key;
     }
 }
 
@@ -610,39 +701,103 @@ enum Verdict {
     TwinHit,
 }
 
-/// Reusable per-worker dispatch state: the candidate entry snapshot plus
-/// generation-stamped per-slot verdict arrays. Nothing is cleared between
-/// events — stamps make stale data unreadable — so steady-state dispatch
-/// never allocates (the arrays only grow when the index itself grows).
+/// Plans each worker caches. The table is direct-mapped by routing key,
+/// so a lookup is one index, a colliding key evicts the plan it lands
+/// on, and the cache never holds more than this many plans.
+const PLAN_SLOTS: usize = 64;
+
+/// What a plan routes: every entry (broadcast policy), or the entries an
+/// event with this canonical theme can reach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlanKey {
+    all_entries: bool,
+    theme: ThemeId,
+}
+
+impl PlanKey {
+    /// The key's position in the plan table. Theme ids are dense, so
+    /// distinct themes spread over the table until it is full.
+    fn slot(self) -> usize {
+        (self.theme.as_u32() as usize * 2 + self.all_entries as usize) % PLAN_SLOTS
+    }
+}
+
+/// One cached candidate plan: the deduplicated, sweep-ordered entries for
+/// a routing key as of index version `version`, their slots as a
+/// membership bitset, and the subscriber counts skip accounting needs.
+pub(crate) struct Plan {
+    key: PlanKey,
+    /// Index version the plan was built at; 0 = never built.
+    version: u64,
+    entries: Vec<Arc<IndexEntry>>,
+    /// Bit `s` set ⇔ the entry in slot `s` is a candidate.
+    members: Vec<u64>,
+    /// Subscribers in the whole index when the plan was built.
+    pub(crate) total_subs: u64,
+    /// Subscribers behind the plan's entries.
+    pub(crate) candidate_subs: u64,
+}
+
+impl Plan {
+    fn empty() -> Plan {
+        Plan {
+            key: PlanKey {
+                all_entries: false,
+                theme: ThemeId::EMPTY,
+            },
+            version: 0,
+            entries: Vec::new(),
+            members: Vec::new(),
+            total_subs: 0,
+            candidate_subs: 0,
+        }
+    }
+
+    /// The candidate entries in sweep order.
+    pub(crate) fn entries(&self) -> &[Arc<IndexEntry>] {
+        &self.entries
+    }
+
+    fn contains(&self, slot: u32) -> bool {
+        self.members
+            .get(slot as usize / 64)
+            .is_some_and(|word| word & (1 << (slot % 64)) != 0)
+    }
+}
+
+/// Reusable per-worker dispatch state: the plan table plus
+/// generation-stamped per-slot covering verdicts. Nothing is cleared
+/// between events — stamps make stale verdicts unreadable — and plans
+/// are rebuilt in their own buffers, so steady-state dispatch never
+/// allocates (buffers only grow when the index itself grows).
 pub(crate) struct DispatchScratch {
-    /// Candidate entries for the current event, sorted for the sweep.
-    pub(crate) entries: Vec<Arc<IndexEntry>>,
+    plans: Box<[Plan]>,
+    verdicts: Verdicts,
+}
+
+impl DispatchScratch {
+    pub(crate) fn new() -> DispatchScratch {
+        DispatchScratch {
+            plans: (0..PLAN_SLOTS).map(|_| Plan::empty()).collect(),
+            verdicts: Verdicts::default(),
+        }
+    }
+}
+
+/// Per-slot covering verdicts for the event being swept.
+#[derive(Default)]
+struct Verdicts {
     generation: u64,
-    seen: Vec<u64>,
     verdict_gen: Vec<u64>,
     verdict_uid: Vec<u64>,
     verdict: Vec<Option<Verdict>>,
     twin_results: Vec<Option<Arc<MatchResult>>>,
 }
 
-impl DispatchScratch {
-    pub(crate) fn new() -> DispatchScratch {
-        DispatchScratch {
-            entries: Vec::new(),
-            generation: 0,
-            seen: Vec::new(),
-            verdict_gen: Vec::new(),
-            verdict_uid: Vec::new(),
-            verdict: Vec::new(),
-            twin_results: Vec::new(),
-        }
-    }
-
+impl Verdicts {
     fn begin(&mut self, slot_count: usize) {
         self.generation += 1;
-        self.entries.clear();
-        if self.seen.len() < slot_count {
-            self.seen.resize(slot_count, 0);
+        if self.verdict_gen.len() < slot_count {
             self.verdict_gen.resize(slot_count, 0);
             self.verdict_uid.resize(slot_count, 0);
             self.verdict.resize_with(slot_count, || None);
@@ -650,43 +805,50 @@ impl DispatchScratch {
         }
     }
 
-    fn push(&mut self, entry: &Arc<IndexEntry>) {
-        let slot = entry.slot as usize;
-        if self.seen[slot] != self.generation {
-            self.seen[slot] = self.generation;
-            self.entries.push(Arc::clone(entry));
+    /// The verdict recorded for `entry` in this event, if any.
+    fn get(&self, entry: &IndexEntry) -> Option<&Verdict> {
+        let s = entry.slot as usize;
+        if self.verdict_gen[s] == self.generation && self.verdict_uid[s] == entry.uid {
+            self.verdict[s].as_ref()
+        } else {
+            None
         }
     }
+}
 
-    fn set_verdict(&mut self, slot: u32, uid: u64, verdict: Verdict) {
+/// One event's sweep over its plan: the borrowed plan plus the covering
+/// verdicts recorded as entries are tested.
+pub(crate) struct Sweep<'s> {
+    pub(crate) plan: &'s Plan,
+    verdicts: &'s mut Verdicts,
+}
+
+impl Sweep<'_> {
+    /// Records `verdict` for the entry in `slot`, returning whether it
+    /// was recorded: only candidates of this event matter, and the first
+    /// verdict wins (covering soundness makes conflicting verdicts
+    /// impossible; this is belt-and-braces).
+    fn set_verdict(&mut self, slot: u32, uid: u64, verdict: Verdict) -> bool {
+        let v = &mut *self.verdicts;
         let s = slot as usize;
-        // Only candidates of this event matter, and the first verdict wins
-        // (covering soundness makes conflicting verdicts impossible; this
-        // is belt-and-braces).
-        if self.seen[s] != self.generation || self.verdict_gen[s] == self.generation {
-            return;
+        if !self.plan.contains(slot) || v.verdict_gen[s] == v.generation {
+            return false;
         }
-        self.verdict_gen[s] = self.generation;
-        self.verdict_uid[s] = uid;
-        self.verdict[s] = Some(verdict);
+        v.verdict_gen[s] = v.generation;
+        v.verdict_uid[s] = uid;
+        v.verdict[s] = Some(verdict);
+        true
     }
 
     /// Whether `entry` was pruned by a covered subset's miss.
     pub(crate) fn is_pruned(&self, entry: &IndexEntry) -> bool {
-        let s = entry.slot as usize;
-        self.verdict_gen[s] == self.generation
-            && self.verdict_uid[s] == entry.uid
-            && matches!(self.verdict[s], Some(Verdict::Pruned))
+        matches!(self.verdicts.get(entry), Some(Verdict::Pruned))
     }
 
     /// Takes the twin-hit result stored for `entry`, if any.
     pub(crate) fn take_twin_hit(&mut self, entry: &IndexEntry) -> Option<Arc<MatchResult>> {
-        let s = entry.slot as usize;
-        if self.verdict_gen[s] == self.generation
-            && self.verdict_uid[s] == entry.uid
-            && matches!(self.verdict[s], Some(Verdict::TwinHit))
-        {
-            self.twin_results[s].take()
+        if matches!(self.verdicts.get(entry), Some(Verdict::TwinHit)) {
+            self.verdicts.twin_results[entry.slot as usize].take()
         } else {
             None
         }
@@ -696,8 +858,7 @@ impl DispatchScratch {
     /// set is pruned (conjunctive matcher: a missing predicate stays
     /// missing in any superset).
     pub(crate) fn record_miss(&mut self, entry: &IndexEntry) {
-        for i in 0..entry.supersets.len() {
-            let EdgeRef { slot, uid } = entry.supersets[i];
+        for &EdgeRef { slot, uid } in &entry.supersets {
             self.set_verdict(slot, uid, Verdict::Pruned);
         }
     }
@@ -707,14 +868,10 @@ impl DispatchScratch {
     /// into a fresh result otherwise.
     pub(crate) fn record_hit(&mut self, entry: &IndexEntry, result: &Arc<MatchResult>) {
         for edge in &entry.twins {
-            let s = edge.slot as usize;
-            if self.seen[s] != self.generation || self.verdict_gen[s] == self.generation {
-                continue;
+            if self.set_verdict(edge.slot, edge.uid, Verdict::TwinHit) {
+                self.verdicts.twin_results[edge.slot as usize] =
+                    Some(remapped(result, edge.perm.as_deref()));
             }
-            self.verdict_gen[s] = self.generation;
-            self.verdict_uid[s] = edge.uid;
-            self.verdict[s] = Some(Verdict::TwinHit);
-            self.twin_results[s] = Some(remapped(result, edge.perm.as_deref()));
         }
     }
 }
@@ -746,15 +903,30 @@ mod tests {
         sub
     }
 
+    /// The plan's entries for `event` under theme routing, in sweep
+    /// order.
+    fn plan_entries(
+        index: &SubscriptionIndex,
+        scratch: &mut DispatchScratch,
+        event: &Event,
+    ) -> Vec<Arc<IndexEntry>> {
+        index
+            .collect_candidates(event, false, scratch)
+            .plan
+            .entries()
+            .to_vec()
+    }
+
     fn candidate_ids(
         index: &SubscriptionIndex,
         scratch: &mut DispatchScratch,
         event: &Event,
         all: bool,
     ) -> Vec<u64> {
-        index.collect_candidates(event, all, scratch);
-        let mut ids: Vec<u64> = scratch
-            .entries
+        let mut ids: Vec<u64> = index
+            .collect_candidates(event, all, scratch)
+            .plan
+            .entries()
             .iter()
             .flat_map(|e| e.fanout().iter().map(|m| m.id.0).collect::<Vec<_>>())
             .collect();
@@ -789,10 +961,10 @@ mod tests {
         let mut scratch = DispatchScratch::new();
         add(&index, 1, "({power, grid}, {a= 1})");
         let event = tep_events::parse_event("({power, grid}, {a: 1})").unwrap();
-        // Both event tags hit the same entry; the generation stamp keeps it
-        // to one candidate.
+        // Both event tags hit the same entry; the membership bitset keeps
+        // it to one candidate.
         assert_eq!(candidate_ids(&index, &mut scratch, &event, false), [1]);
-        assert_eq!(scratch.entries.len(), 1);
+        assert_eq!(plan_entries(&index, &mut scratch, &event).len(), 1);
     }
 
     #[test]
@@ -810,8 +982,9 @@ mod tests {
         index.insert(SubscriptionId(7), &registration(&sub));
         let event = tep_events::parse_event("({power}, {k: v})").unwrap();
         assert_eq!(candidate_ids(&index, &mut scratch, &event, false), [7]);
-        assert_eq!(scratch.entries.len(), 1);
-        assert_eq!(scratch.entries[0].fanout_len(), 1);
+        let entries = plan_entries(&index, &mut scratch, &event);
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].fanout_len(), 1);
         assert_eq!(index.entry_count(), 1);
     }
 
@@ -828,10 +1001,9 @@ mod tests {
         assert_eq!(index.distinct_subscriptions(), 1);
         assert_eq!(index.subscriber_count(), 3);
         let event = tep_events::parse_event("({power}, {a: 1, b: 2})").unwrap();
-        index.collect_candidates(&event, false, &mut scratch);
-        assert_eq!(scratch.entries.len(), 1);
-        let entry = Arc::clone(&scratch.entries[0]);
-        let fan = entry.fanout();
+        let entries = plan_entries(&index, &mut scratch, &event);
+        assert_eq!(entries.len(), 1);
+        let fan = entries[0].fanout();
         assert_eq!(fan.len(), 3);
         assert!(fan[0].perm.is_none());
         assert!(fan[1].perm.is_none());
@@ -848,51 +1020,100 @@ mod tests {
 
         // A miss on the subset entry prunes the superset entry.
         let event = tep_events::parse_event("({power}, {z: 9})").unwrap();
-        index.collect_candidates(&event, false, &mut scratch);
-        assert_eq!(scratch.entries.len(), 3);
+        let entries = plan_entries(&index, &mut scratch, &event);
+        assert_eq!(entries.len(), 3);
         // Sweep order: smallest predicate sets first.
-        assert_eq!(scratch.entries[0].pred_count(), 1);
-        let small = Arc::clone(
-            scratch
-                .entries
-                .iter()
-                .find(|e| e.pred_count() == 1 && e.fanout()[0].id.0 == 1)
-                .unwrap(),
-        );
-        let big = Arc::clone(
-            scratch
-                .entries
-                .iter()
-                .find(|e| e.pred_count() == 2)
-                .unwrap(),
-        );
-        let twin = Arc::clone(
-            scratch
-                .entries
-                .iter()
-                .find(|e| e.pred_count() == 1 && e.fanout()[0].id.0 == 3)
-                .unwrap(),
-        );
-        scratch.record_miss(&small);
-        assert!(scratch.is_pruned(&big));
-        assert!(scratch.is_pruned(&twin), "equal sets cover each other");
+        assert_eq!(entries[0].pred_count(), 1);
+        let find = |pred_count: usize, id: Option<u64>| {
+            Arc::clone(
+                entries
+                    .iter()
+                    .find(|e| {
+                        e.pred_count() == pred_count && id.is_none_or(|id| e.fanout()[0].id.0 == id)
+                    })
+                    .unwrap(),
+            )
+        };
+        let (small, big, twin) = (find(1, Some(1)), find(2, None), find(1, Some(3)));
+        let mut sweep = index.collect_candidates(&event, false, &mut scratch);
+        sweep.record_miss(&small);
+        assert!(sweep.is_pruned(&big));
+        assert!(sweep.is_pruned(&twin), "equal sets cover each other");
 
         // A hit on one twin short-circuits the other, sharing its result
         // (one predicate: the orders coincide).
-        index.collect_candidates(&event, false, &mut scratch);
+        let mut sweep = index.collect_candidates(&event, false, &mut scratch);
         let result = Arc::new(tep_matcher::ExactMatcher::new().match_event(
             &small.representative,
             &tep_events::parse_event("{a: 1}").unwrap(),
         ));
         assert!(result.is_match(1.0));
-        scratch.record_hit(&small, &result);
-        assert!(!scratch.is_pruned(&twin));
-        let stored = scratch.take_twin_hit(&twin).expect("twin hit recorded");
+        sweep.record_hit(&small, &result);
+        assert!(!sweep.is_pruned(&twin));
+        let stored = sweep.take_twin_hit(&twin).expect("twin hit recorded");
         assert!(Arc::ptr_eq(&stored, &result));
         assert!(
-            scratch.take_twin_hit(&big).is_none(),
+            sweep.take_twin_hit(&big).is_none(),
             "strict supersets are not twin-hit"
         );
+    }
+
+    #[test]
+    fn plans_are_reused_until_any_index_write() {
+        let index = SubscriptionIndex::new();
+        let mut scratch = DispatchScratch::new();
+        let s1 = add(&index, 1, "({power}, {a= 1})");
+        add(&index, 2, "({water}, {a= 1})");
+        let event = tep_events::parse_event("({power}, {a: 1})").unwrap();
+        let mut plan = |all: bool| {
+            let plan = index.collect_candidates(&event, all, &mut scratch).plan;
+            (plan.version, plan.candidate_subs, plan.total_subs)
+        };
+        let (v, candidates, total) = plan(false);
+        assert_eq!((candidates, total), (1, 2));
+        assert_eq!(plan(false), (v, 1, 2), "no write, no rebuild");
+        assert_eq!(plan(true), (v, 2, 2), "the broadcast plan is cached apart");
+        assert_eq!(plan(false), (v, 1, 2));
+
+        // A duplicate join, a new entry, an unrelated theme's write and a
+        // remove each bump the version, so the next event rebuilds.
+        let writes: [(&dyn Fn(), u64, u64); 4] = [
+            (&|| drop(add(&index, 3, "({power}, {a= 1})")), 2, 3),
+            (&|| drop(add(&index, 4, "({power}, {a= 1, b= 2})")), 3, 4),
+            (&|| drop(add(&index, 5, "({grid}, {c= 1})")), 3, 5),
+            (&|| index.remove(SubscriptionId(1), &s1), 2, 4),
+        ];
+        let mut last = v;
+        for (write, candidates, total) in writes {
+            write();
+            let (v, c, t) = plan(false);
+            assert!(v > last, "every write invalidates the plan");
+            assert_eq!((c, t), (candidates, total));
+            last = v;
+        }
+    }
+
+    #[test]
+    fn removing_an_entry_drops_the_covering_edges_to_it() {
+        let index = SubscriptionIndex::new();
+        let mut scratch = DispatchScratch::new();
+        add(&index, 1, "({power}, {a= 1})");
+        let superset = add(&index, 2, "({power}, {a= 1, b= 2})");
+        let twin = add(&index, 3, "({water}, {a= 1})");
+        let edges = |scratch: &mut DispatchScratch| {
+            let event = tep_events::parse_event("{q: 0}").unwrap();
+            let plan = index.collect_candidates(&event, true, scratch).plan;
+            let small = plan
+                .entries()
+                .iter()
+                .find(|e| e.fanout()[0].id.0 == 1)
+                .unwrap();
+            (small.supersets.len(), small.twins.len())
+        };
+        assert_eq!(edges(&mut scratch), (2, 1));
+        index.remove(SubscriptionId(2), &superset);
+        index.remove(SubscriptionId(3), &twin);
+        assert_eq!(edges(&mut scratch), (0, 0));
     }
 
     #[test]
@@ -949,26 +1170,16 @@ mod tests {
         add(&index, 1, "{a= 1}");
         let s2 = add(&index, 2, "{a= 1, b= 2}");
         index.remove(SubscriptionId(2), &s2);
-        // Reuse the freed slot with an unrelated entry: the stale edge from
-        // entry 1 must not prune it.
+        // Reuse the freed slot with an unrelated entry: entry 1's edge to
+        // the removed entry must not prune it.
         add(&index, 3, "{z= 9}");
         let event = tep_events::parse_event("{q: 0}").unwrap();
-        index.collect_candidates(&event, false, &mut scratch);
-        let small = Arc::clone(
-            scratch
-                .entries
-                .iter()
-                .find(|e| e.fanout()[0].id.0 == 1)
-                .unwrap(),
-        );
-        let fresh = Arc::clone(
-            scratch
-                .entries
-                .iter()
-                .find(|e| e.fanout()[0].id.0 == 3)
-                .unwrap(),
-        );
-        scratch.record_miss(&small);
-        assert!(!scratch.is_pruned(&fresh));
+        let entries = plan_entries(&index, &mut scratch, &event);
+        let by_id =
+            |id: u64| Arc::clone(entries.iter().find(|e| e.fanout()[0].id.0 == id).unwrap());
+        let (small, fresh) = (by_id(1), by_id(3));
+        let mut sweep = index.collect_candidates(&event, false, &mut scratch);
+        sweep.record_miss(&small);
+        assert!(!sweep.is_pruned(&fresh));
     }
 }

@@ -179,9 +179,9 @@ where
             .spawn(move || {
                 let shard = shared.stats.shard(index);
                 // Both scratch buffers are reused across events: the batch
-                // amortizes the channel lock, the dispatch scratch keeps
-                // the per-event candidate snapshot and covering verdicts
-                // allocation-free once its slot arrays have grown to the
+                // amortizes the channel lock, the dispatch scratch caches
+                // candidate plans and keeps the covering verdicts
+                // allocation-free once its buffers have grown to the
                 // index's size.
                 let mut batch: Vec<Job> = Vec::with_capacity(DEQUEUE_BATCH);
                 let mut scratch = DispatchScratch::new();
@@ -664,8 +664,8 @@ where
 /// Installing an observer never changes what is tested or delivered.
 ///
 /// Counters and stage timers go to the calling worker's `shard`;
-/// `scratch` is the worker's reusable candidate snapshot + covering
-/// verdict state.
+/// `scratch` is the worker's candidate plan cache + covering verdict
+/// state.
 fn process_event<M>(
     shared: &Shared,
     matcher: &M,
@@ -716,10 +716,9 @@ fn process_event<M>(
         }
         degraded = overload.degraded_mode();
     }
-    // Snapshot the candidate entries from the index so matching never
-    // holds the index lock. The scratch is reused across events, so the
-    // snapshot is allocation-free once its arrays have grown to the
-    // index's size.
+    // The worker's cached candidate plan for this event's routing key:
+    // matching never holds the index lock, and the sweep borrows the
+    // plan's entries instead of cloning them.
     let all_entries = match shared.config.routing_policy {
         RoutingPolicy::Broadcast => {
             shard.routed_broadcast.fetch_add(1, Ordering::Relaxed);
@@ -730,10 +729,11 @@ fn process_event<M>(
             false
         }
     };
-    let (total_subs, candidate_subs) =
-        shared
-            .index
-            .collect_candidates(&job.event, all_entries, scratch);
+    let mut sweep = shared
+        .index
+        .collect_candidates(&job.event, all_entries, scratch);
+    let plan = sweep.plan;
+    let (total_subs, candidate_subs) = (plan.total_subs, plan.candidate_subs);
     // Skip accounting stays in *subscriber* units (as before the index):
     // every subscriber behind a non-candidate entry was skipped without a
     // match test.
@@ -789,8 +789,7 @@ fn process_event<M>(
     // One event, many candidate tests: let the matcher reuse its
     // event-side scratch (interned symbols) across the whole sweep.
     matcher.begin_event(&job.event);
-    for ci in 0..scratch.entries.len() {
-        let entry = Arc::clone(&scratch.entries[ci]);
+    for entry in plan.entries() {
         // Cost attribution: one branch per dispatch when off. When on,
         // the same deterministic splitmix64 decision the quality sampler
         // uses picks 1-in-k (event, entry) dispatches whose measured
@@ -802,7 +801,7 @@ fn process_event<M>(
             .filter(|c| c.should_sample(job.seq, entry.uid()));
         // One test per entry serves its whole fan-out.
         if covering {
-            if scratch.is_pruned(&entry) {
+            if sweep.is_pruned(entry) {
                 // A covered subset entry missed, so this entry cannot
                 // match: its members get the verdict a conjunctive
                 // matcher would have returned.
@@ -811,7 +810,7 @@ fn process_event<M>(
                     let verdict = Arc::new(MatchResult::no_match());
                     let start = Instant::now();
                     fan.fan_out(
-                        &entry,
+                        entry,
                         Ok(&verdict),
                         CacheTemperature::Exact,
                         start,
@@ -821,14 +820,14 @@ fn process_event<M>(
                 }
                 continue;
             }
-            if let Some(result) = scratch.take_twin_hit(&entry) {
+            if let Some(result) = sweep.take_twin_hit(entry) {
                 // An equal-set twin hit; its (already permuted) result
                 // serves this entry's fan-out without a test.
                 shard.covered_skips.fetch_add(1, Ordering::Relaxed);
                 let start = Instant::now();
                 let cost = cost.map(|c| (c, 0));
                 let deliver_ns = fan.fan_out(
-                    &entry,
+                    entry,
                     Ok(&result),
                     CacheTemperature::Exact,
                     start,
@@ -836,7 +835,7 @@ fn process_event<M>(
                     cost,
                 );
                 if let Some((cost, _)) = cost {
-                    flush_entry_cost(cost, &entry, &job, 0, deliver_ns);
+                    flush_entry_cost(cost, entry, &job, 0, deliver_ns);
                 }
                 continue;
             }
@@ -888,7 +887,7 @@ fn process_event<M>(
             if fan.explain_ring {
                 let reason = run.last_panic.as_deref().unwrap_or("unknown panic");
                 fan.fan_out(
-                    &entry,
+                    entry,
                     Err(reason),
                     run.temperature,
                     run.match_end,
@@ -897,7 +896,7 @@ fn process_event<M>(
                 );
             }
             if let Some((cost, match_ns)) = cost {
-                flush_entry_cost(cost, &entry, &job, match_ns, 0);
+                flush_entry_cost(cost, entry, &job, match_ns, 0);
             }
             continue;
         };
@@ -907,7 +906,7 @@ fn process_event<M>(
         if covering && !mapped {
             // Conjunctive matcher: a predicate unsupported here stays
             // unsupported in every superset entry.
-            scratch.record_miss(&entry);
+            sweep.record_miss(entry);
         }
         let match_span = route_span.map(|route| {
             shared.spans.record_new(
@@ -932,11 +931,11 @@ fn process_event<M>(
             // no-match path never allocates it.
             let result = Arc::new(result);
             if covering && delivering {
-                scratch.record_hit(&entry, &result);
+                sweep.record_hit(entry, &result);
             }
             // Stage 3 (deliver) starts at the match decision.
             deliver_ns = fan.fan_out(
-                &entry,
+                entry,
                 Ok(&result),
                 run.temperature,
                 run.match_end,
@@ -945,7 +944,7 @@ fn process_event<M>(
             );
         }
         if let Some((cost, match_ns)) = cost {
-            flush_entry_cost(cost, &entry, &job, match_ns, deliver_ns);
+            flush_entry_cost(cost, entry, &job, match_ns, deliver_ns);
         }
     }
     let FanOut { dead, .. } = fan;
@@ -1081,7 +1080,12 @@ fn deliver(
             if let Some(counter) = &reg.notif_counter {
                 counter.fetch_add(1, Ordering::Relaxed);
             }
-            reg.consecutive_full.store(0, Ordering::Relaxed);
+            // Load first: the field shares a cache line with `sender`,
+            // which every worker reads, so an unconditional store would
+            // bounce the line on every admitted notification.
+            if reg.consecutive_full.load(Ordering::Relaxed) != 0 {
+                reg.consecutive_full.store(0, Ordering::Relaxed);
+            }
             if let Some((_, breaker)) = breaker {
                 breaker.lock().on_success();
             }

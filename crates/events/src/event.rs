@@ -4,6 +4,7 @@ use crate::error::ModelError;
 use crate::tuple::{normalize, Tuple};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A thematic event `e = (th, av)` (paper §3.3): a set of theme tags and a
 /// set of attribute–value tuples with pairwise-distinct attributes.
@@ -22,10 +23,65 @@ use std::fmt;
 /// assert_eq!(e.value_of("device"), Some("computer"));
 /// # Ok::<(), tep_events::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Event {
     theme_tags: Vec<String>,
     tuples: Vec<Tuple>,
+    /// Never serialized; a deserialized event is a new event.
+    #[serde(default, skip_serializing_if = "Identity::is_local")]
+    identity: Identity,
+}
+
+/// A process-unique, never-zero number stamped on every event built,
+/// deserialized or re-themed; clones share it. It is not part of the
+/// event's value: equality, `Debug` and serialization ignore it.
+#[derive(Clone, Copy)]
+struct Identity(u64);
+
+impl Identity {
+    fn fresh() -> Identity {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        Identity(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+
+    fn is_local(&self) -> bool {
+        true
+    }
+}
+
+impl Default for Identity {
+    fn default() -> Identity {
+        Identity::fresh()
+    }
+}
+
+impl Serialize for Identity {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Null
+    }
+}
+
+impl Deserialize for Identity {
+    fn deserialize(_value: &serde::Value) -> Result<Identity, serde::Error> {
+        Ok(Identity::fresh())
+    }
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Event) -> bool {
+        self.theme_tags == other.theme_tags && self.tuples == other.tuples
+    }
+}
+
+impl Eq for Event {}
+
+impl fmt::Debug for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Event")
+            .field("theme_tags", &self.theme_tags)
+            .field("tuples", &self.tuples)
+            .finish()
+    }
 }
 
 impl Event {
@@ -53,6 +109,15 @@ impl Event {
             .map(Tuple::value)
     }
 
+    /// The event's identity: a process-unique, never-zero number stamped
+    /// when it was built, deserialized or re-themed, and shared by its
+    /// clones (which are equal to it). Two events with one identity
+    /// always have equal contents, so per-event caches can key on it
+    /// without comparing contents or trusting addresses.
+    pub fn identity(&self) -> u64 {
+        self.identity.0
+    }
+
     /// Whether the event carries no theme tags.
     pub fn is_non_thematic(&self) -> bool {
         self.theme_tags.is_empty()
@@ -67,6 +132,7 @@ impl Event {
         S: AsRef<str>,
     {
         let mut out = self.clone();
+        out.identity = Identity::fresh();
         out.theme_tags.clear();
         for tag in tags {
             let t = normalize(tag.as_ref());
@@ -152,6 +218,7 @@ impl EventBuilder {
         Ok(Event {
             theme_tags: self.theme_tags,
             tuples: self.tuples,
+            identity: Identity::fresh(),
         })
     }
 }
@@ -168,6 +235,27 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, ModelError::DuplicateAttribute("type".into()));
+    }
+
+    #[test]
+    fn identity_follows_the_value_not_the_address() {
+        let e = Event::builder().tuple("k", "v").build().unwrap();
+        assert_ne!(e.identity(), 0);
+        assert_eq!(
+            e.clone().identity(),
+            e.identity(),
+            "clones are the same event"
+        );
+        let rebuilt = Event::builder().tuple("k", "v").build().unwrap();
+        assert_eq!(rebuilt, e, "identity is not part of the value");
+        assert_ne!(rebuilt.identity(), e.identity());
+        assert_ne!(e.with_theme_tags(["power"]).identity(), e.identity());
+        let json = serde_json::to_string(&e).unwrap();
+        assert!(!json.contains("identity"), "{json}");
+        let back: Event = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, e);
+        assert_ne!(back.identity(), e.identity());
+        assert!(!format!("{e:?}").contains("identity"));
     }
 
     #[test]

@@ -148,16 +148,18 @@ impl MatchResult {
 
     /// Returns a copy with every correspondence's predicate index mapped
     /// through `perm` (`perm[old] = new`); indices outside `perm` are kept
-    /// as-is. Used by subscription aggregation: one match test against a
-    /// canonical representative serves subscribers whose predicate lists
-    /// are permutations of each other, and each subscriber's notification
-    /// must index predicates in *that subscriber's* declaration order.
+    /// as-is, and each mapping's correspondences are re-sorted into
+    /// predicate order. Used by subscription aggregation: one match test
+    /// against a canonical representative serves subscribers whose
+    /// predicate lists are permutations of each other, and each
+    /// subscriber's notification must read as a test of *that
+    /// subscriber's* predicate list.
     pub fn with_remapped_predicates(&self, perm: &[usize]) -> MatchResult {
         let mappings = self
             .mappings
             .iter()
             .map(|m| {
-                let correspondences = m
+                let mut correspondences: Vec<Correspondence> = m
                     .correspondences()
                     .iter()
                     .map(|c| Correspondence {
@@ -165,6 +167,7 @@ impl MatchResult {
                         ..*c
                     })
                     .collect();
+                correspondences.sort_by_key(|c| c.predicate);
                 let mut out = Mapping::new(correspondences);
                 out.set_probability(m.probability());
                 out
@@ -194,6 +197,23 @@ mod tests {
         assert!((m.probability() - 0.5).abs() < 1e-12);
         assert_eq!(m.tuple_of(0), Some(1));
         assert_eq!(m.tuple_of(7), None);
+    }
+
+    #[test]
+    fn remapped_correspondences_stay_in_predicate_order() {
+        let r = MatchResult::from_mappings(vec![Mapping::new(vec![
+            corr(0, 3, 1.0, 1.0),
+            corr(1, 1, 0.5, 1.0),
+        ])]);
+        let swapped = r.with_remapped_predicates(&[1, 0]);
+        let pairs: Vec<(usize, usize)> = swapped.mappings()[0]
+            .correspondences()
+            .iter()
+            .map(|c| (c.predicate, c.tuple))
+            .collect();
+        assert_eq!(pairs, [(0, 1), (1, 3)]);
+        assert_eq!(swapped.mappings()[0].tuple_of(1), Some(3));
+        assert!((swapped.score() - 0.5).abs() < 1e-12);
     }
 
     #[test]

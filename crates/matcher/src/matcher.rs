@@ -76,9 +76,11 @@ pub trait Matcher: Send + Sync {
     /// tests for **one** event — the broker calls this once per dequeued
     /// event, before the first candidate subscription is tested. Matchers
     /// that keep per-event scratch (interned event-side symbols) use the
-    /// signal to reuse it across the whole sweep; the default is a no-op,
-    /// and correctness never depends on the call (callers that skip it
-    /// simply pay the per-test setup cost again).
+    /// signal to reuse it across the whole sweep; the default is a no-op.
+    /// Correctness never depends on the call: the scratch is bound to
+    /// this event's [`Event::identity`], so tests of other events made
+    /// while the scope is open set up afresh, and callers that skip the
+    /// call simply pay the per-test setup cost again.
     fn begin_event(&self, _event: &Event) {}
 
     /// A short name for reports ("thematic", "non-thematic", "exact", …).
@@ -354,8 +356,8 @@ impl<M: SemanticMeasure> Matcher for ProbabilisticMatcher<M> {
         self.match_with_measure(subscription, event, &self.measure)
     }
 
-    fn begin_event(&self, _event: &Event) {
-        crate::similarity::begin_event_scope();
+    fn begin_event(&self, event: &Event) {
+        crate::similarity::begin_event_scope(event);
     }
 
     fn match_event_degraded(

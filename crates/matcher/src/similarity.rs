@@ -8,16 +8,17 @@ use tep_semantics::{intern_term, theme_for_tags, SemanticMeasure, TermId, ThemeI
 /// Event-scoped interning scratch: one event is matched against many
 /// subscriptions back to back by the same worker thread, so the event
 /// side's interned term ids and theme id are computed once per event and
-/// replayed for every subsequent test in the scope (see
+/// replayed for every subsequent test of that event in the scope (see
 /// [`begin_event_scope`]).
 struct EventScope {
-    /// `0` = no scope active (callers that never open one — evaluation
-    /// code, direct matcher use — re-intern per test). Bumped by
-    /// [`begin_event_scope`] so stale scratch can never leak into the
-    /// next event.
-    token: u64,
-    /// Whether `tuple_ids` / `the_id` were filled for the current token
-    /// under `flags`.
+    /// [`Event::identity`] of the event the open scope is bound to; `0` =
+    /// no scope (callers that never open one — evaluation code, direct
+    /// matcher use — re-intern per test). Only that event's tests replay
+    /// the scratch: any other event, even one at a recycled address,
+    /// carries another identity.
+    event: u64,
+    /// Whether `tuple_ids` / `the_id` hold the scope event's ids under
+    /// `flags`.
     filled: bool,
     /// The `(any_attr_approx, any_value_approx)` combination the scratch
     /// was interned under; a subscription with different approximation
@@ -36,7 +37,7 @@ thread_local! {
     /// subscription sweep when an event scope is open.
     static EVENT_SCOPE: RefCell<EventScope> = const {
         RefCell::new(EventScope {
-            token: 0,
+            event: 0,
             filled: false,
             flags: (false, false),
             the_id: ThemeId::EMPTY,
@@ -45,15 +46,15 @@ thread_local! {
     };
 }
 
-/// Opens an event scope on the calling thread: until the next call, the
-/// similarity build may reuse the event-side interned symbols across
-/// match tests. Callers must invoke this **per event**, before the
-/// event's first match test ([`crate::Matcher::begin_event`] routes
-/// here); the token bump makes reuse across distinct events impossible.
-pub(crate) fn begin_event_scope() {
+/// Opens an event scope for `event` on the calling thread: until the
+/// next call, the similarity build may reuse `event`'s interned symbols
+/// across its match tests ([`crate::Matcher::begin_event`] routes here).
+/// Tests of any other event meanwhile intern afresh, so a scope left open
+/// can cost speed but never correctness.
+pub(crate) fn begin_event_scope(event: &Event) {
     EVENT_SCOPE.with(|scope| {
         let mut scope = scope.borrow_mut();
-        scope.token = scope.token.wrapping_add(1).max(1);
+        scope.event = event.identity();
         scope.filled = false;
     });
 }
@@ -163,7 +164,8 @@ impl SimilarityMatrix {
         EVENT_SCOPE.with(|scope| {
             let mut scope = scope.borrow_mut();
             let scope = &mut *scope;
-            if !(scope.token != 0 && scope.filled && scope.flags == flags) {
+            let in_scope = scope.event == event.identity();
+            if !(in_scope && scope.filled && scope.flags == flags) {
                 scope.tuple_ids.clear();
                 if semantic {
                     // Intern only the sides a measure call can actually
@@ -182,9 +184,8 @@ impl SimilarityMatrix {
                     scope.tuple_ids.resize(cols, (None, None));
                 }
                 scope.flags = flags;
-                // Only an open scope may replay this scratch: without one
-                // there is no "same event" guarantee across calls.
-                scope.filled = scope.token != 0;
+                // Only the scope's own event may replay this scratch.
+                scope.filled = in_scope;
             }
             let the_id = scope.the_id;
             let tuple_ids = &scope.tuple_ids;

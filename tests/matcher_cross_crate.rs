@@ -129,3 +129,68 @@ fn mappings_are_injective_for_all_probabilistic_matchers() {
         }
     }
 }
+
+/// An open event scope binds the matcher's event-side scratch to the
+/// event it was opened for. Tests of other events while it is open —
+/// plain `match_event` calls, and events rebuilt in a loop into one
+/// stack slot, so at the scope event's address — must return exactly the
+/// scope-free verdicts.
+#[test]
+fn an_open_event_scope_never_replays_another_events_terms() {
+    let config = tep_eval::EvalConfig::tiny();
+    let stack = tep_eval::MatcherStack::build(&config);
+    let workload = tep_eval::Workload::generate(&config);
+    let matcher = stack.thematic_cached();
+    let themes = ["energy policy", "electrical industry"];
+    let events: Vec<Event> = workload
+        .events()
+        .iter()
+        .take(40)
+        .map(|e| e.with_theme_tags(themes))
+        .collect();
+    let subscriptions: Vec<Subscription> = workload
+        .subscriptions()
+        .iter()
+        .map(|s| s.with_theme_tags(themes))
+        .collect();
+    assert_eq!((events.len(), subscriptions.len()), (40, 8));
+    let sweep = |event: &Event| -> Vec<MatchResult> {
+        subscriptions
+            .iter()
+            .map(|s| matcher.match_event(s, event))
+            .collect()
+    };
+    // The reference runs on a thread that never opened a scope (the
+    // scratch is per thread).
+    let reference: Vec<Vec<MatchResult>> =
+        std::thread::scope(|t| t.spawn(|| events.iter().map(&sweep).collect()).join())
+            .expect("reference thread");
+    assert!(
+        reference.iter().flatten().any(|r| r.is_match(0.0)),
+        "the population must exercise the semantic path"
+    );
+
+    let differing = |got: &[MatchResult], want: &[MatchResult]| {
+        got.iter().zip(want).filter(|(g, w)| g != w).count()
+    };
+
+    matcher.begin_event(&events[0]);
+    let replayed: usize = events
+        .iter()
+        .zip(&reference)
+        .map(|(e, want)| differing(&sweep(e), want))
+        .sum();
+    assert_eq!(replayed, 0, "results differing under another event's scope");
+
+    let mut slot = events[0].clone();
+    matcher.begin_event(&slot);
+    let mut replayed = 0;
+    for (event, want) in events.iter().zip(&reference) {
+        slot = event.with_theme_tags(themes);
+        replayed += differing(&sweep(&slot), want);
+    }
+    assert_eq!(
+        replayed, 0,
+        "results differing for events rebuilt in the scope event's slot"
+    );
+}

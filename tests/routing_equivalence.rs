@@ -5,9 +5,11 @@
 //! never a match. Theme-less subscriptions opt out of routing and must
 //! stay broadcast.
 
+use crossbeam::channel::Receiver;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use tep::broker::SubscriptionId;
 use tep::prelude::*;
 
 const TAG_POOL: [&str; 4] = ["power", "transport", "water", "networking"];
@@ -143,18 +145,7 @@ fn dispatch(
         while let Ok(n) = rx.try_recv() {
             let seq = n.event.value_of("seq").expect("seq tuple");
             let i: usize = seq[1..].parse().expect("seq number");
-            let correspondences = n
-                .result
-                .mappings()
-                .iter()
-                .map(|m| {
-                    m.correspondences()
-                        .iter()
-                        .map(|c| (c.predicate, c.tuple))
-                        .collect()
-                })
-                .collect();
-            delivered.insert((pos, i, correspondences));
+            delivered.insert((pos, i, correspondences(&n.result)));
         }
     }
     let stats = broker.stats();
@@ -168,6 +159,151 @@ fn dispatch(
     };
     broker.shutdown();
     run
+}
+
+/// One step of an interleaved write/publish history. Derived
+/// subscriptions are built from a live one, so histories keep producing
+/// duplicate joins, permuted twins and covering pairs as entries come and
+/// go (and freed index slots are recycled).
+#[derive(Debug, Clone)]
+enum Step {
+    /// Subscribe a fresh specification.
+    Subscribe(Spec),
+    /// Subscribe a variant of the live subscription `pick % live`: a
+    /// verbatim duplicate, its predicates reversed, its predicates under
+    /// `tags`, its predicates minus the last (a covering subset), or plus
+    /// an attribute it lacks (a covering superset), by `kind % 5`.
+    Derive {
+        pick: usize,
+        kind: u8,
+        tags: Vec<String>,
+    },
+    /// Unsubscribe the live subscription `pick % live`.
+    Unsubscribe(usize),
+    /// Publish an event and flush.
+    Publish(Spec),
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (
+        0u8..10,
+        any::<usize>(),
+        (tag_set(), pair_set(1)),
+        (tag_set(), pair_set(0)),
+    )
+        .prop_map(|(op, pick, sub, event)| match op {
+            0..=2 => Step::Subscribe(sub),
+            3..=4 => Step::Derive {
+                pick,
+                kind: (pick >> 8) as u8,
+                tags: sub.0,
+            },
+            5..=6 => Step::Unsubscribe(pick),
+            _ => Step::Publish(event),
+        })
+}
+
+/// The variant `Step::Derive` subscribes for the live `(tags, preds)`.
+fn derived(kind: u8, tags: &[String], preds: &[(usize, usize)], other: Vec<String>) -> Spec {
+    let mut preds = preds.to_vec();
+    let tags = match kind % 5 {
+        0 => tags.to_vec(),
+        1 => {
+            preds.reverse();
+            tags.to_vec()
+        }
+        2 => other,
+        3 => {
+            if preds.len() > 1 {
+                preds.pop();
+            }
+            tags.to_vec()
+        }
+        _ => {
+            if let Some(a) = (0..ATTR_POOL.len()).find(|a| preds.iter().all(|p| p.0 != *a)) {
+                preds.push((a, a % VALUE_POOL.len()));
+            }
+            tags.to_vec()
+        }
+    };
+    (tags, preds)
+}
+
+/// What one published event cost and delivered: the dispatch counter
+/// deltas and (subscriber, correspondences) per notification.
+#[derive(Debug, PartialEq)]
+struct EventOutcome {
+    match_tests: u64,
+    covered_skips: u64,
+    routing_skipped: u64,
+    delivered: BTreeSet<(usize, Correspondences)>,
+}
+
+/// A result's correspondences as (predicate, tuple) per mapping.
+fn correspondences(result: &MatchResult) -> Correspondences {
+    result
+        .mappings()
+        .iter()
+        .map(|m| {
+            m.correspondences()
+                .iter()
+                .map(|c| (c.predicate, c.tuple))
+                .collect()
+        })
+        .collect()
+}
+
+/// A broker plus the receivers of its subscriptions, keyed by the
+/// history's subscribe order.
+struct Live {
+    broker: Broker,
+    workers: usize,
+    subs: Vec<(usize, SubscriptionId, Receiver<Notification>)>,
+}
+
+impl Live {
+    fn start(policy: RoutingPolicy, workers: usize) -> Live {
+        let config = BrokerConfig::default()
+            .with_workers(workers)
+            .with_routing_policy(policy);
+        Live {
+            broker: Broker::start(Arc::new(ExactMatcher::new()), config),
+            workers,
+            subs: Vec::new(),
+        }
+    }
+
+    fn subscribe(&mut self, key: usize, sub: Subscription) {
+        let (id, rx) = self.broker.subscribe(sub).unwrap();
+        self.subs.push((key, id, rx));
+    }
+
+    fn unsubscribe(&mut self, pick: usize) {
+        if !self.subs.is_empty() {
+            let (_, id, _) = self.subs.remove(pick % self.subs.len());
+            assert!(self.broker.unsubscribe(id));
+        }
+    }
+
+    /// Publishes `event`, flushes, and reports the event's outcome.
+    fn publish(&self, event: &Event) -> EventOutcome {
+        let before = self.broker.stats();
+        self.broker.publish(event.clone()).unwrap();
+        self.broker.flush().unwrap();
+        let after = self.broker.stats();
+        let mut delivered = BTreeSet::new();
+        for (key, _, rx) in &self.subs {
+            while let Ok(n) = rx.try_recv() {
+                delivered.insert((*key, correspondences(&n.result)));
+            }
+        }
+        EventOutcome {
+            match_tests: after.match_tests - before.match_tests,
+            covered_skips: after.covered_skips - before.covered_skips,
+            routing_skipped: after.routing_skipped - before.routing_skipped,
+            delivered,
+        }
+    }
 }
 
 proptest! {
@@ -356,6 +492,94 @@ proptest! {
             let pairs = (sub_specs.len() * event_specs.len()) as u64 - on.routing_skipped;
             prop_assert_eq!(on.explanations as u64, pairs, "one explanation per candidate pair");
             prop_assert_eq!(on.judged, pairs, "one quality sample per candidate pair");
+        }
+    }
+    /// Candidate plans are cached per worker and stamped with the index
+    /// version, so every subscription write between publishes must reach
+    /// the next event's dispatch. Over random histories of subscribes
+    /// (new entries, duplicate joins, permuted twins, covering subsets
+    /// and supersets), unsubscribes (recycling freed slots) and flushed
+    /// publishes, under both routing policies with one and two workers
+    /// (each worker caches its own plans), every event delivers exactly
+    /// what direct matching against the live subscriptions delivers, and
+    /// costs exactly the tests, covered skips and routing skips it costs
+    /// a freshly started broker holding only those subscriptions.
+    #[test]
+    fn writes_between_publishes_never_leave_a_stale_plan(
+        steps in proptest::collection::vec(step(), 1..24),
+    ) {
+        let matcher = ExactMatcher::new();
+        for policy in [RoutingPolicy::Broadcast, RoutingPolicy::ThemeOverlap] {
+            let mut brokers = [Live::start(policy, 1), Live::start(policy, 2)];
+            // The live specifications, keyed by subscribe order.
+            let mut live: Vec<(usize, Spec)> = Vec::new();
+            let mut next_key = 0;
+            for (i, step) in steps.iter().enumerate() {
+                let spec = match step {
+                    Step::Subscribe(spec) => Some(spec.clone()),
+                    Step::Derive { pick, kind, tags } if !live.is_empty() => {
+                        let (_, (t, p)) = &live[pick % live.len()];
+                        Some(derived(*kind, t, p, tags.clone()))
+                    }
+                    Step::Derive { .. } => None,
+                    Step::Unsubscribe(pick) => {
+                        if !live.is_empty() {
+                            live.remove(pick % live.len());
+                        }
+                        for b in &mut brokers {
+                            b.unsubscribe(*pick);
+                        }
+                        None
+                    }
+                    Step::Publish((tags, tuples)) => {
+                        let event = event_of(i, tags, tuples);
+                        let mut fresh = Live::start(policy, 1);
+                        let mut expected = BTreeSet::new();
+                        for (key, (t, p)) in &live {
+                            let sub = subscription_of(t, p);
+                            let routed = policy == RoutingPolicy::Broadcast
+                                || sub.theme_tags().is_empty()
+                                || sub.shares_theme_with(&event);
+                            let result = matcher.match_event(&sub, &event);
+                            if routed && result.is_match(1.0) {
+                                expected.insert((*key, correspondences(&result)));
+                            }
+                            fresh.subscribe(*key, sub);
+                        }
+                        let reference = fresh.publish(&event);
+                        fresh.broker.shutdown();
+                        prop_assert_eq!(
+                            &reference.delivered,
+                            &expected,
+                            "fresh broker under {:?} at step {}",
+                            policy,
+                            i
+                        );
+                        for b in &brokers {
+                            prop_assert_eq!(
+                                &b.publish(&event),
+                                &reference,
+                                "{:?} with {} worker(s) at step {}: {:?}",
+                                policy,
+                                b.workers,
+                                i,
+                                &steps[..=i]
+                            );
+                        }
+                        None
+                    }
+                };
+                if let Some(spec) = spec {
+                    for b in &mut brokers {
+                        b.subscribe(next_key, subscription_of(&spec.0, &spec.1));
+                    }
+                    live.push((next_key, spec));
+                    next_key += 1;
+                }
+            }
+            for b in brokers {
+                b.broker.shutdown();
+            }
         }
     }
 }
