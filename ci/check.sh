@@ -29,6 +29,11 @@ echo "==> channel tests, release mode"
 # under both.
 cargo test -p crossbeam --release --offline -q
 
+echo "==> dispatch properties, release mode, 512 cases"
+# Routing, plan-cache and observers-on == observers-off properties (with
+# seeded matcher panics) at 8x the default case count.
+PROPTEST_CASES=512 cargo test -p tep --release --offline --test routing_equivalence -q
+
 echo "==> broker_bench: fmt --check, clippy -D warnings, release build"
 # The benchmark is a Cargo workspace of its own, so the workspace-wide
 # steps above never see it.

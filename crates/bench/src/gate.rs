@@ -23,8 +23,14 @@
 //! held to neither bar — a 1-in-k estimate over a handful of samples is
 //! noise, not signal.
 
-use serde::value_get;
-use serde_json::JsonValue;
+use crate::quality::QualityScenario;
+use crate::subindex::SubindexRun;
+use serde::Deserialize;
+
+/// Parses a gate input document, naming it in the error.
+fn parse<T: Deserialize>(doc: &str, label: &str) -> Result<T, String> {
+    serde_json::from_str(doc).map_err(|e| format!("{label}: {e}"))
+}
 
 /// Thresholds for [`compare`].
 #[derive(Debug, Clone, PartialEq)]
@@ -95,61 +101,31 @@ impl GateReport {
     }
 }
 
-/// One scenario's gate-relevant numbers.
+/// A `BENCH_throughput.json` document: its scenarios.
+#[derive(Deserialize)]
+struct ThroughputDoc {
+    scenarios: Vec<ScenarioNumbers>,
+}
+
+/// One throughput scenario's gate-relevant numbers.
+#[derive(Deserialize)]
 struct ScenarioNumbers {
     name: String,
     events_per_sec: f64,
-    /// `(stage name, sample count, p50 nanoseconds, p99 nanoseconds)`.
-    stages: Vec<(String, u64, u64, u64)>,
+    #[serde(default)]
+    stages: Vec<StageNumbers>,
 }
 
-fn parse_scenarios(doc: &str, label: &str) -> Result<Vec<ScenarioNumbers>, String> {
-    let parsed: JsonValue =
-        serde_json::from_str(doc).map_err(|e| format!("{label}: invalid JSON: {e:?}"))?;
-    let root = parsed
-        .as_map()
-        .ok_or_else(|| format!("{label}: root is not an object"))?;
-    let scenarios = value_get(root, "scenarios")
-        .and_then(|v| v.as_seq())
-        .ok_or_else(|| format!("{label}: missing \"scenarios\" array"))?;
-    let mut out = Vec::new();
-    for (i, s) in scenarios.iter().enumerate() {
-        let obj = s
-            .as_map()
-            .ok_or_else(|| format!("{label}: scenario {i} is not an object"))?;
-        let name = value_get(obj, "name")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("{label}: scenario {i} has no name"))?
-            .to_string();
-        let events_per_sec = value_get(obj, "events_per_sec")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("{label}: scenario {name:?} has no events_per_sec"))?;
-        let mut stages = Vec::new();
-        if let Some(list) = value_get(obj, "stages").and_then(|v| v.as_seq()) {
-            for st in list {
-                let Some(stage) = st.as_map() else { continue };
-                let Some(stage_name) = value_get(stage, "stage").and_then(|v| v.as_str()) else {
-                    continue;
-                };
-                let count = value_get(stage, "count")
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0);
-                let p50 = value_get(stage, "p50_ns")
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0);
-                let p99 = value_get(stage, "p99_ns")
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0);
-                stages.push((stage_name.to_string(), count, p50, p99));
-            }
-        }
-        out.push(ScenarioNumbers {
-            name,
-            events_per_sec,
-            stages,
-        });
-    }
-    Ok(out)
+/// One stage row of a throughput scenario; absent figures read as 0.
+#[derive(Deserialize)]
+struct StageNumbers {
+    stage: String,
+    #[serde(default)]
+    count: u64,
+    #[serde(default)]
+    p50_ns: u64,
+    #[serde(default)]
+    p99_ns: u64,
 }
 
 /// Compares `current` (a fresh `BENCH_throughput.json` document) against
@@ -164,8 +140,9 @@ fn parse_scenarios(doc: &str, label: &str) -> Result<Vec<ScenarioNumbers>, Strin
 /// A `String` describing the problem when either document fails to parse
 /// — a malformed artifact must fail the gate loudly, not pass silently.
 pub fn compare(baseline: &str, current: &str, cfg: &GateConfig) -> Result<GateReport, String> {
-    let base = parse_scenarios(baseline, "baseline")?;
-    let cur = parse_scenarios(current, "current")?;
+    let base: ThroughputDoc = parse(baseline, "baseline")?;
+    let cur: ThroughputDoc = parse(current, "current")?;
+    let (base, cur) = (base.scenarios, cur.scenarios);
     if base.is_empty() {
         return Err("baseline: no scenarios to compare against".to_string());
     }
@@ -190,23 +167,23 @@ pub fn compare(baseline: &str, current: &str, cfg: &GateConfig) -> Result<GateRe
                 cfg.max_drop * 100.0,
             ));
         }
-        for (stage, count, _p50, p99) in &b.stages {
-            if *count < cfg.min_stage_count || *p99 < cfg.min_p99_ns {
+        for st in &b.stages {
+            if st.count < cfg.min_stage_count || st.p99_ns < cfg.min_p99_ns {
                 continue;
             }
-            let Some((_, _, _, cur_p99)) = c.stages.iter().find(|(s, _, _, _)| s == stage) else {
+            let Some(cur_st) = c.stages.iter().find(|s| s.stage == st.stage) else {
                 continue;
             };
             stages_checked += 1;
-            let ceiling = *p99 as f64 * cfg.max_p99_growth;
-            if *cur_p99 as f64 > ceiling {
+            let ceiling = st.p99_ns as f64 * cfg.max_p99_growth;
+            if cur_st.p99_ns as f64 > ceiling {
                 violations.push(format!(
                     "scenario {:?} stage {:?}: p99 grew {:.1}x ({} ns → {} ns, limit {:.1}x)",
                     b.name,
-                    stage,
-                    *cur_p99 as f64 / *p99 as f64,
-                    p99,
-                    cur_p99,
+                    st.stage,
+                    cur_st.p99_ns as f64 / st.p99_ns as f64,
+                    st.p99_ns,
+                    cur_st.p99_ns,
                     cfg.max_p99_growth,
                 ));
             }
@@ -216,16 +193,16 @@ pub fn compare(baseline: &str, current: &str, cfg: &GateConfig) -> Result<GateRe
     // freshly added scenario is held to it from its first CI run.
     if cfg.max_queue_wait_p50_ns > 0 {
         for c in &cur {
-            for (stage, count, p50, _) in &c.stages {
-                if stage != "queue_wait" || *count < cfg.min_stage_count {
+            for st in &c.stages {
+                if st.stage != "queue_wait" || st.count < cfg.min_stage_count {
                     continue;
                 }
                 stages_checked += 1;
-                if *p50 > cfg.max_queue_wait_p50_ns {
+                if st.p50_ns > cfg.max_queue_wait_p50_ns {
                     violations.push(format!(
                         "scenario {:?}: queue_wait p50 {} ns exceeds the absolute \
                          ceiling of {} ns",
-                        c.name, p50, cfg.max_queue_wait_p50_ns,
+                        c.name, st.p50_ns, cfg.max_queue_wait_p50_ns,
                     ));
                 }
             }
@@ -294,54 +271,10 @@ impl QualityGateReport {
     }
 }
 
-/// One quality scenario's gate-relevant numbers.
-struct QualityNumbers {
-    name: String,
-    samples: u64,
-    live_f1: f64,
-    /// Whether the live F1 agreed with the offline F1 within the live
-    /// estimate's confidence interval. Some scenarios disagree by
-    /// construction (a degraded matcher judged against full ground
-    /// truth), which the baseline records — the gate only fires when
-    /// agreement *regresses*.
-    within_ci: bool,
-}
-
-fn parse_quality(doc: &str, label: &str) -> Result<Vec<QualityNumbers>, String> {
-    let parsed: JsonValue =
-        serde_json::from_str(doc).map_err(|e| format!("{label}: invalid JSON: {e:?}"))?;
-    let root = parsed
-        .as_map()
-        .ok_or_else(|| format!("{label}: root is not an object"))?;
-    let scenarios = value_get(root, "scenarios")
-        .and_then(|v| v.as_seq())
-        .ok_or_else(|| format!("{label}: missing \"scenarios\" array"))?;
-    let mut out = Vec::new();
-    for (i, s) in scenarios.iter().enumerate() {
-        let obj = s
-            .as_map()
-            .ok_or_else(|| format!("{label}: scenario {i} is not an object"))?;
-        let name = value_get(obj, "name")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("{label}: scenario {i} has no name"))?
-            .to_string();
-        let samples = value_get(obj, "samples")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("{label}: scenario {name:?} has no samples"))?;
-        let live_f1 = value_get(obj, "live_f1")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("{label}: scenario {name:?} has no live_f1"))?;
-        let within_ci = value_get(obj, "within_ci")
-            .and_then(|v| v.as_bool())
-            .ok_or_else(|| format!("{label}: scenario {name:?} has no within_ci"))?;
-        out.push(QualityNumbers {
-            name,
-            samples,
-            live_f1,
-            within_ci,
-        });
-    }
-    Ok(out)
+/// A `BENCH_quality.json` document: its scenarios.
+#[derive(Deserialize)]
+struct QualityDoc {
+    scenarios: Vec<QualityScenario>,
 }
 
 /// Compares `current` (a fresh `BENCH_quality.json` document) against
@@ -361,8 +294,9 @@ pub fn compare_quality(
     current: &str,
     cfg: &QualityGateConfig,
 ) -> Result<QualityGateReport, String> {
-    let base = parse_quality(baseline, "baseline")?;
-    let cur = parse_quality(current, "current")?;
+    let base: QualityDoc = parse(baseline, "baseline")?;
+    let cur: QualityDoc = parse(current, "current")?;
+    let (base, cur) = (base.scenarios, cur.scenarios);
     if base.is_empty() {
         return Err("baseline: no quality scenarios to compare against".to_string());
     }
@@ -430,38 +364,11 @@ impl Default for SubindexGateConfig {
     }
 }
 
-/// One population's gate-relevant numbers from `BENCH_subindex.json`.
-struct SubindexNumbers {
-    subscribers: u64,
-    index_entries: u64,
-    events_per_sec: f64,
-}
-
-fn parse_subindex(doc: &str, label: &str) -> Result<(SubindexNumbers, SubindexNumbers), String> {
-    let parsed: JsonValue =
-        serde_json::from_str(doc).map_err(|e| format!("{label}: invalid JSON: {e:?}"))?;
-    let root = parsed
-        .as_map()
-        .ok_or_else(|| format!("{label}: root is not an object"))?;
-    let mut runs = Vec::new();
-    for key in ["small", "large"] {
-        let obj = value_get(root, key)
-            .and_then(|v| v.as_map())
-            .ok_or_else(|| format!("{label}: missing {key:?} object"))?;
-        let field = |name: &str| {
-            value_get(obj, name)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("{label}: {key}.{name} missing"))
-        };
-        runs.push(SubindexNumbers {
-            subscribers: field("subscribers")? as u64,
-            index_entries: field("index_entries")? as u64,
-            events_per_sec: field("events_per_sec")?,
-        });
-    }
-    let large = runs.pop().expect("two runs");
-    let small = runs.pop().expect("two runs");
-    Ok((small, large))
+/// The two populations of a `BENCH_subindex.json` document.
+#[derive(Deserialize)]
+struct SubindexPair {
+    small: SubindexRun,
+    large: SubindexRun,
 }
 
 /// Compares `current` (a fresh `BENCH_subindex.json`) against `baseline`
@@ -484,8 +391,9 @@ pub fn compare_subindex(
     current: &str,
     cfg: &SubindexGateConfig,
 ) -> Result<GateReport, String> {
-    let (_, base_large) = parse_subindex(baseline, "baseline")?;
-    let (cur_small, cur_large) = parse_subindex(current, "current")?;
+    let base: SubindexPair = parse(baseline, "baseline")?;
+    let cur: SubindexPair = parse(current, "current")?;
+    let (base_large, cur_small, cur_large) = (base.large, cur.small, cur.large);
     let mut violations = Vec::new();
     if cur_large.subscribers < base_large.subscribers {
         violations.push(format!(

@@ -12,7 +12,7 @@
 //! they are exactly equal. `ci/perf_gate.sh` holds the gate
 //! ([`crate::gate::compare_quality`]) to that property.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 use tep::broker::json_document;
@@ -27,7 +27,7 @@ const FLUSH_DEADLINE: Duration = Duration::from_secs(120);
 
 /// One scenario's live (sampled) and offline (exhaustive) quality
 /// numbers, as reported in `BENCH_quality.json`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QualityScenario {
     /// Scenario name (stable identifier, used as the JSON key).
     pub name: String,

@@ -12,7 +12,7 @@
 //! `ratio_vs_small < 1` quantifies the residual large-population cost and
 //! `ci/perf_gate.sh` holds the floor at 0.5×.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tep::broker::json_document;
@@ -52,7 +52,7 @@ const HIT_STRIDE: usize = 64;
 const FLUSH_DEADLINE: Duration = Duration::from_secs(300);
 
 /// One subscriber-scale measurement of the aggregation scenario.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SubindexRun {
     /// Registered subscriptions.
     pub subscribers: u64,

@@ -238,9 +238,6 @@ pub(crate) struct DimMetrics {
     /// tags counts its tests under both, so the family's sum can exceed
     /// the bare `tep_match_tests_total`).
     pub(crate) match_by_theme: CounterFamily,
-    /// Match tests per cache temperature (`exact` / `thematic` /
-    /// `cached`).
-    pub(crate) match_by_temp: CounterFamily,
     /// Notifications admitted per subscriber id.
     pub(crate) notif_by_sub: CounterFamily,
     /// Space-saving sketch of the hottest event theme tags.
@@ -254,8 +251,6 @@ impl DimMetrics {
     fn new(cardinality: usize) -> DimMetrics {
         DimMetrics {
             match_by_theme: CounterFamily::new(cardinality),
-            // Temperature is a closed three-value set; no cap pressure.
-            match_by_temp: CounterFamily::new(4),
             notif_by_sub: CounterFamily::new(cardinality),
             hot_themes: TopKSketch::new(cardinality.max(16)),
             hot_terms: TopKSketch::new(cardinality.max(16)),
@@ -446,6 +441,22 @@ const WINDOWED_RATES: [(&str, &str); 5] = [
 ];
 
 impl Shared {
+    /// Removes a registration with everything derived from it: the
+    /// registry entry, its index fan-out slot (an entry whose fan-out
+    /// empties is dropped with its leaves) and whatever the matcher
+    /// pinned for it. Index and matcher cleanup run outside the registry
+    /// lock. Returns whether the registration existed. Both
+    /// [`Broker::unsubscribe`] and the reaping of dead subscribers call
+    /// this.
+    pub(crate) fn remove_subscription(&self, id: SubscriptionId) -> bool {
+        let Some(reg) = self.registry.write().remove(&id) else {
+            return false;
+        };
+        self.index.remove(id, &reg.subscription);
+        (self.hooks.release)(&reg.subscription);
+        true
+    }
+
     /// Writes one flight-recorder diagnostic frame: counters, queue and
     /// breaker gauges, load state, cumulative stage histograms, and the
     /// hottest themes. Allocation-free in steady state — counters come
@@ -912,12 +923,7 @@ impl Broker {
 
     /// Removes a subscription; returns whether it existed.
     pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
-        let Some(reg) = self.shared.registry.write().remove(&id) else {
-            return false;
-        };
-        self.shared.index.remove(id, &reg.subscription);
-        (self.shared.hooks.release)(&reg.subscription);
-        true
+        self.shared.remove_subscription(id)
     }
 
     /// Number of live subscriptions.
@@ -1407,6 +1413,13 @@ impl Broker {
     pub fn metrics(&self) -> MetricsRegistry {
         let stats = self.stats();
         let stages = self.stage_latencies();
+        // Each match stage histogram holds exactly one sample per test,
+        // so the labeled temperature family is read from their counts.
+        let tests_by_temperature = [
+            ("cached", stages.match_cached.count()),
+            ("exact", stages.match_exact.count()),
+            ("thematic", stages.match_thematic.count()),
+        ];
         let mut reg = MetricsRegistry::new();
         reg.counter(
             "tep_published_total",
@@ -1608,7 +1621,7 @@ impl Broker {
         );
         self.subscriber_queue_metrics(&mut reg);
         self.windowed_metrics(&mut reg);
-        self.labeled_metrics(&mut reg);
+        self.labeled_metrics(&mut reg, tests_by_temperature);
         self.quality_metrics(&mut reg);
         self.overload_metrics(&mut reg);
         self.cost_metrics(&mut reg);
@@ -1749,7 +1762,7 @@ impl Broker {
 
     /// Labeled counter families and top-k tracking gauges; no-ops when
     /// [`BrokerConfig::labeled_metrics`] is off.
-    fn labeled_metrics(&self, reg: &mut MetricsRegistry) {
+    fn labeled_metrics(&self, reg: &mut MetricsRegistry, tests_by_temperature: [(&str, u64); 3]) {
         let Some(dim) = &self.shared.dim else {
             return;
         };
@@ -1761,13 +1774,15 @@ impl Broker {
                 count,
             );
         }
-        for (temperature, count) in dim.match_by_temp.snapshot() {
-            reg.counter_with(
-                "tep_match_temperature_total",
-                "Match tests by cache temperature",
-                &[("temperature", &temperature)],
-                count,
-            );
+        for (temperature, count) in tests_by_temperature {
+            if count > 0 {
+                reg.counter_with(
+                    "tep_match_temperature_total",
+                    "Match tests by cache temperature",
+                    &[("temperature", temperature)],
+                    count,
+                );
+            }
         }
         for (subscriber, count) in dim.notif_by_sub.snapshot() {
             reg.counter_with(

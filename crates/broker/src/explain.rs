@@ -18,8 +18,8 @@ use tep_obs::json_document;
 /// stage-latency split ([`crate::StageLatencies`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheTemperature {
-    /// The subscription has no approximate (`~`) predicate; no semantic
-    /// machinery ran at all.
+    /// The test consulted no semantic measure: an exact-only
+    /// subscription, or a matcher that ignores `~` markers.
     Exact,
     /// At least one semantic cache missed: the test paid a projection or
     /// vector computation.

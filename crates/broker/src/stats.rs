@@ -9,36 +9,22 @@ use tep_obs::{HistogramSnapshot, LatencyHistogram};
 /// Monotonic broker counters, cheap to read concurrently.
 ///
 /// `live_workers` is the one gauge (it can go down); everything else only
-/// ever increases. Counters a worker bumps per event or per match test
-/// also exist in the per-worker [`WorkerShard`]s: the hot path increments
-/// its own shard (no cross-core cache-line ping-pong), cold paths (the
-/// supervisor, publish, quarantine) increment the base counters here, and
-/// [`StatsInner::snapshot`] reads both — a counter's public value is
-/// always `base + Σ shards`.
+/// ever increases. A counter a worker bumps per event or per match test
+/// lives only in the per-worker [`WorkerShard`]s (no cross-core
+/// cache-line ping-pong) and reads as `Σ shards`. The counters here are
+/// written off the dispatch path (the supervisor, publish, quarantine,
+/// reaping); `processed` and `worker_panics` have writers on both sides
+/// and read as `base + Σ shards`.
 #[derive(Debug)]
 pub(crate) struct StatsInner {
     pub published: AtomicU64,
     pub processed: AtomicU64,
-    pub match_tests: AtomicU64,
-    pub notifications: AtomicU64,
-    pub dropped_full: AtomicU64,
-    pub dropped_disconnected: AtomicU64,
     pub worker_panics: AtomicU64,
     pub workers_respawned: AtomicU64,
     pub quarantined: AtomicU64,
     pub rejected_publishes: AtomicU64,
     pub disconnected_subscribers: AtomicU64,
     pub live_workers: AtomicU64,
-    pub routing_skipped: AtomicU64,
-    pub routed_broadcast: AtomicU64,
-    pub routed_theme_overlap: AtomicU64,
-    pub covered_skips: AtomicU64,
-    pub shed_deadline: AtomicU64,
-    pub shed_load: AtomicU64,
-    pub breaker_open: AtomicU64,
-    pub breaker_trips: AtomicU64,
-    /// Per-stage latency histograms for recorders without a worker shard.
-    pub stage: StageTimers,
     /// One shard per configured worker, selected by `index % len`. Never
     /// empty (the default layout has one shard).
     shards: Box<[WorkerShard]>,
@@ -83,13 +69,13 @@ pub(crate) struct WorkerShard {
 pub(crate) struct StageTimers {
     /// Publish → dequeue: time an accepted event sat on the ingress queue.
     pub queue_wait: LatencyHistogram,
-    /// Match tests against exact-only subscriptions (no `~` predicate).
+    /// Match tests that consulted no semantic measure.
     pub match_exact: LatencyHistogram,
-    /// Match tests against approximate subscriptions that missed at least
-    /// one semantic cache (paid a projection / vector computation).
+    /// Match tests that consulted a measure and missed at least one
+    /// semantic cache (paid a projection / vector computation).
     pub match_thematic: LatencyHistogram,
-    /// Match tests against approximate subscriptions served entirely from
-    /// warm semantic caches.
+    /// Match tests that consulted a measure served entirely from warm
+    /// semantic caches.
     pub match_cached: LatencyHistogram,
     /// Match decision → notification handed to the subscriber channel.
     pub deliver: LatencyHistogram,
@@ -110,27 +96,27 @@ impl StageTimers {
 /// A point-in-time snapshot of the broker's per-stage latency
 /// distributions ([`crate::Broker::stage_latencies`]).
 ///
-/// Match latency is split three ways at record time: subscriptions with no
-/// approximate (`~`) predicate land in [`StageLatencies::match_exact`];
-/// approximate subscriptions are classified per test by sampling the
-/// matcher's cache-miss count for the worker's own thread around the call
-/// — [`StageLatencies::match_thematic`] when the test paid at least one
-/// semantic-cache miss, [`StageLatencies::match_cached`] when it was
-/// served warm. Another worker's misses never move the sampled count.
-/// Matchers without semantic caches report every approximate test as
-/// cached; use [`StageLatencies::match_combined`] when the split does not
-/// matter.
+/// Match latency is split three ways at record time, by what the test
+/// did on the worker's own thread: a test that consulted no semantic
+/// measure (an exact-only subscription, or a matcher such as
+/// `ExactMatcher` that ignores `~`) lands in
+/// [`StageLatencies::match_exact`]; one that did is
+/// [`StageLatencies::match_thematic`] when it paid at least one
+/// semantic-cache miss and [`StageLatencies::match_cached`] when it was
+/// served warm. Both signals are per-thread tallies
+/// ([`tep_matcher::thread_measured_tests`] and the matcher's
+/// `cache_miss_count`), so another worker's tests never move them.
+/// Measures without caches report every measured test as cached; use
+/// [`StageLatencies::match_combined`] when the split does not matter.
 #[derive(Debug, Clone, Default)]
 pub struct StageLatencies {
     /// Publish → dequeue queue-wait distribution.
     pub queue_wait: HistogramSnapshot,
-    /// Match-test latency against exact-only subscriptions.
+    /// Latency of match tests that consulted no semantic measure.
     pub match_exact: HistogramSnapshot,
-    /// Match-test latency against approximate subscriptions that missed a
-    /// semantic cache.
+    /// Latency of measured match tests that missed a semantic cache.
     pub match_thematic: HistogramSnapshot,
-    /// Match-test latency against approximate subscriptions served from
-    /// warm caches.
+    /// Latency of measured match tests served from warm caches.
     pub match_cached: HistogramSnapshot,
     /// Match decision → subscriber-channel hand-off latency.
     pub deliver: HistogramSnapshot,
@@ -262,25 +248,12 @@ impl StatsInner {
         StatsInner {
             published: AtomicU64::new(0),
             processed: AtomicU64::new(0),
-            match_tests: AtomicU64::new(0),
-            notifications: AtomicU64::new(0),
-            dropped_full: AtomicU64::new(0),
-            dropped_disconnected: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             workers_respawned: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             rejected_publishes: AtomicU64::new(0),
             disconnected_subscribers: AtomicU64::new(0),
             live_workers: AtomicU64::new(0),
-            routing_skipped: AtomicU64::new(0),
-            routed_broadcast: AtomicU64::new(0),
-            routed_theme_overlap: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            shed_load: AtomicU64::new(0),
-            breaker_open: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
-            covered_skips: AtomicU64::new(0),
-            stage: StageTimers::default(),
             shards: (0..workers.max(1))
                 .map(|_| WorkerShard::default())
                 .collect(),
@@ -293,21 +266,18 @@ impl StatsInner {
         &self.shards[index % self.shards.len()]
     }
 
-    /// `base + Σ shards` for a counter that is sharded across workers.
+    /// `Σ shards` for a counter workers bump on the dispatch path.
     /// Alloc-free: `snapshot` runs inside the broker's 100µs flush poll.
-    fn merged(&self, base: &AtomicU64, pick: impl Fn(&WorkerShard) -> &AtomicU64) -> u64 {
-        base.load(Ordering::Relaxed)
-            + self
-                .shards
-                .iter()
-                .map(|s| pick(s).load(Ordering::Relaxed))
-                .sum::<u64>()
+    fn summed(&self, pick: impl Fn(&WorkerShard) -> &AtomicU64) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| pick(s).load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Stage latency distributions merged across the base timers and
-    /// every worker shard.
+    /// Stage latency distributions merged across every worker shard.
     pub(crate) fn stage_snapshot(&self) -> StageLatencies {
-        let mut out = self.stage.snapshot();
+        let mut out = StageLatencies::default();
         for shard in self.shards.iter() {
             let s = shard.stage.snapshot();
             out.queue_wait = out.queue_wait.merged(&s.queue_wait);
@@ -319,16 +289,15 @@ impl StatsInner {
         out
     }
 
-    /// Accumulates one stage's histogram (base timers + every worker
-    /// shard) into a reused snapshot buffer without allocating — the
-    /// flight recorder's frame-tick counterpart of
+    /// Accumulates one stage's histogram across every worker shard into
+    /// a reused snapshot buffer without allocating — the flight
+    /// recorder's frame-tick counterpart of
     /// [`StatsInner::stage_snapshot`].
     pub(crate) fn accumulate_stage(
         &self,
         pick: impl Fn(&StageTimers) -> &LatencyHistogram,
         out: &mut HistogramSnapshot,
     ) {
-        pick(&self.stage).accumulate_into(out);
         for shard in self.shards.iter() {
             pick(&shard.stage).accumulate_into(out);
         }
@@ -337,30 +306,29 @@ impl StatsInner {
     pub(crate) fn snapshot(self: &Arc<Self>) -> BrokerStats {
         BrokerStats {
             published: self.published.load(Ordering::Relaxed),
-            processed: self.merged(&self.processed, |s| &s.processed),
-            match_tests: self.merged(&self.match_tests, |s| &s.match_tests),
-            notifications: self.merged(&self.notifications, |s| &s.notifications),
-            dropped_full: self.merged(&self.dropped_full, |s| &s.dropped_full),
-            dropped_disconnected: self
-                .merged(&self.dropped_disconnected, |s| &s.dropped_disconnected),
-            worker_panics: self.merged(&self.worker_panics, |s| &s.worker_panics),
+            processed: self.processed.load(Ordering::Relaxed) + self.summed(|s| &s.processed),
+            match_tests: self.summed(|s| &s.match_tests),
+            notifications: self.summed(|s| &s.notifications),
+            dropped_full: self.summed(|s| &s.dropped_full),
+            dropped_disconnected: self.summed(|s| &s.dropped_disconnected),
+            worker_panics: self.worker_panics.load(Ordering::Relaxed)
+                + self.summed(|s| &s.worker_panics),
             workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             rejected_publishes: self.rejected_publishes.load(Ordering::Relaxed),
             disconnected_subscribers: self.disconnected_subscribers.load(Ordering::Relaxed),
             live_workers: self.live_workers.load(Ordering::Relaxed),
-            routing_skipped: self.merged(&self.routing_skipped, |s| &s.routing_skipped),
-            routed_broadcast: self.merged(&self.routed_broadcast, |s| &s.routed_broadcast),
-            routed_theme_overlap: self
-                .merged(&self.routed_theme_overlap, |s| &s.routed_theme_overlap),
-            covered_skips: self.merged(&self.covered_skips, |s| &s.covered_skips),
+            routing_skipped: self.summed(|s| &s.routing_skipped),
+            routed_broadcast: self.summed(|s| &s.routed_broadcast),
+            routed_theme_overlap: self.summed(|s| &s.routed_theme_overlap),
+            covered_skips: self.summed(|s| &s.covered_skips),
             // Filled in by `Broker::stats`, which can reach the index.
             distinct_subscriptions: 0,
             index_entries: 0,
-            shed_deadline: self.merged(&self.shed_deadline, |s| &s.shed_deadline),
-            shed_load: self.merged(&self.shed_load, |s| &s.shed_load),
-            breaker_open: self.merged(&self.breaker_open, |s| &s.breaker_open),
-            breaker_trips: self.merged(&self.breaker_trips, |s| &s.breaker_trips),
+            shed_deadline: self.summed(|s| &s.shed_deadline),
+            shed_load: self.summed(|s| &s.shed_load),
+            breaker_open: self.summed(|s| &s.breaker_open),
+            breaker_trips: self.summed(|s| &s.breaker_trips),
             // Filled in by `Broker::stats`, which can reach the matcher.
             semantic_cache: CacheStats::default(),
         }
@@ -375,7 +343,7 @@ mod tests {
     fn snapshot_reflects_counters() {
         let inner = Arc::new(StatsInner::default());
         inner.published.fetch_add(3, Ordering::Relaxed);
-        inner.notifications.fetch_add(2, Ordering::Relaxed);
+        inner.shard(0).notifications.fetch_add(2, Ordering::Relaxed);
         inner.worker_panics.fetch_add(1, Ordering::Relaxed);
         let snap = inner.snapshot();
         assert_eq!(snap.published, 3);
@@ -397,7 +365,7 @@ mod tests {
         assert_eq!(snap.processed, 10, "base + all shards");
         assert_eq!(snap.notifications, 7);
 
-        inner.stage.queue_wait.record_nanos(1_000);
+        inner.shard(1).stage.queue_wait.record_nanos(1_000);
         inner.shard(0).stage.queue_wait.record_nanos(2_000);
         inner.shard(2).stage.queue_wait.record_nanos(3_000);
         assert_eq!(inner.stage_snapshot().queue_wait.count(), 3);
@@ -405,19 +373,22 @@ mod tests {
 
     #[test]
     fn delivery_failures_is_the_sum_of_drop_reasons() {
-        let inner = Arc::new(StatsInner::default());
-        inner.dropped_full.fetch_add(4, Ordering::Relaxed);
-        inner.dropped_disconnected.fetch_add(3, Ordering::Relaxed);
-        inner.breaker_open.fetch_add(2, Ordering::Relaxed);
+        let inner = Arc::new(StatsInner::new(2));
+        inner.shard(0).dropped_full.fetch_add(4, Ordering::Relaxed);
+        inner
+            .shard(1)
+            .dropped_disconnected
+            .fetch_add(3, Ordering::Relaxed);
+        inner.shard(0).breaker_open.fetch_add(2, Ordering::Relaxed);
         assert_eq!(inner.snapshot().delivery_failures(), 9);
     }
 
     #[test]
     fn shed_counters_are_distinct_from_drop_counters() {
         let inner = Arc::new(StatsInner::default());
-        inner.shed_deadline.fetch_add(5, Ordering::Relaxed);
-        inner.shed_load.fetch_add(2, Ordering::Relaxed);
-        inner.breaker_trips.fetch_add(1, Ordering::Relaxed);
+        inner.shard(0).shed_deadline.fetch_add(5, Ordering::Relaxed);
+        inner.shard(0).shed_load.fetch_add(2, Ordering::Relaxed);
+        inner.shard(0).breaker_trips.fetch_add(1, Ordering::Relaxed);
         let snap = inner.snapshot();
         assert_eq!(snap.shed_total(), 7);
         assert_eq!(snap.shed_deadline, 5);

@@ -24,7 +24,8 @@ use crate::explain::{CacheTemperature, MatchExplanation, MatchOutcome};
 use crate::notification::Notification;
 use crate::quality::QualityState;
 use crate::stats::{nanos_between, WorkerShard};
-use crate::subindex::{DispatchScratch, IndexEntry};
+use crate::subindex::{DispatchScratch, IndexEntry, Sweep};
+use crate::ShedReason;
 use crossbeam::channel::{Receiver, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -33,8 +34,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tep_events::{Event, Subscription};
-use tep_matcher::{MatchResult, Matcher};
+use tep_events::Event;
+use tep_matcher::{thread_measured_tests, MatchResult, Matcher};
 
 /// How often the supervisor polls its workers for panic deaths.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(1);
@@ -381,46 +382,204 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Assembles one [`MatchExplanation`] from the test's context.
-#[allow(clippy::too_many_arguments)]
-fn explanation_for(
-    shared: &Shared,
-    job: &Job,
-    id: SubscriptionId,
-    reg: &Registration,
-    score: f64,
-    temperature: CacheTemperature,
-    outcome: MatchOutcome,
-    detail: Option<tep_matcher::MatchDetail>,
-) -> MatchExplanation {
-    MatchExplanation {
-        seq: job.seq,
-        subscription: id,
-        score,
-        threshold: shared.config.delivery_threshold,
-        subscription_themes: reg.subscription.theme_tags().to_vec(),
-        event_themes: job.event.theme_tags().to_vec(),
-        temperature,
-        outcome,
-        detail,
-    }
+/// How one event left its worker. [`tally`] is the one place an outcome
+/// is counted, so no exit path can skip `processed`.
+enum EventOutcome {
+    /// Every candidate entry was judged and settled.
+    Processed,
+    /// Shed at dequeue by overload control; never matched.
+    Shed(ShedReason),
+    /// Some entry panicked on every attempt: the event is dead-lettered
+    /// after `attempts` attempts in total.
+    Quarantined { attempts: u32 },
 }
 
-/// Per-event fan-out: hands one entry's verdict to every subscriber
-/// behind the entry. Built once per event; it carries the hoisted
-/// observer switches and the event's delivery accumulators.
+/// How the sweep judged one candidate entry.
+enum Verdict {
+    /// A covered subset entry missed, so this conjunctive entry cannot
+    /// match; no test ran.
+    Pruned,
+    /// An equal-set twin hit; its result, already permuted into this
+    /// entry's predicate order, serves without a test.
+    Twin(Arc<MatchResult>),
+    /// The representative was tested.
+    Tested { result: MatchResult, run: TestRun },
+    /// Every attempt of the test panicked; `reason` is the last panic's.
+    Panicked { reason: String, run: TestRun },
+}
+
+/// The measured span of one instrumented match test.
+#[derive(Clone, Copy)]
+struct TestRun {
+    start: Instant,
+    /// The match decision; doubles as the deliver stage's start.
+    end: Instant,
+    temperature: CacheTemperature,
+    /// Attempts executed, each counted in `match_tests`.
+    attempts: u32,
+}
+
+/// One event's dispatch state: the hoisted observer switches, the event's
+/// accumulators, and the one tail ([`FanOut::settle`]) every entry
+/// verdict runs through.
 struct FanOut<'a, M: ?Sized> {
     shared: &'a Shared,
     matcher: &'a M,
     shard: &'a WorkerShard,
     job: &'a Job,
+    /// Parent of the event's match spans; `None` for unsampled events.
+    route_span: Option<u64>,
+    /// Covering requires the matcher to declare conjunctive semantics.
+    covering: bool,
     explain_ring: bool,
     quality: Option<&'a QualityState>,
+    /// Match test attempts run for this event.
+    tests: u64,
+    /// Attempt budget burned by an entry whose every attempt panicked.
+    exhausted: u32,
     /// Subscribers the overload policy flagged for reaping.
     dead: Vec<SubscriptionId>,
 }
 
 impl<M: Matcher + ?Sized> FanOut<'_, M> {
+    /// Judge stage: the sweep's covering verdict for `entry` when it has
+    /// one, else one instrumented test of the entry's representative,
+    /// which serves the entry's whole fan-out.
+    fn judge(
+        &self,
+        sweep: &mut Sweep<'_>,
+        entry: &IndexEntry,
+        degraded: tep_matcher::DegradedMatching,
+    ) -> Verdict {
+        if self.covering {
+            if sweep.is_pruned(entry) {
+                return Verdict::Pruned;
+            }
+            if let Some(result) = sweep.take_twin_hit(entry) {
+                return Verdict::Twin(result);
+            }
+        }
+        run_match_test(
+            self.shared,
+            self.matcher,
+            self.shard,
+            entry,
+            self.job,
+            degraded,
+        )
+    }
+
+    /// The one tail every verdict runs through: the match span, the
+    /// covering bookkeeping, [`FanOut::fan_out`] and
+    /// [`flush_entry_cost`], each at most once. Observers see every
+    /// candidate pair, so with any installed a non-delivering entry's
+    /// fan-out is walked too; that never changes what is tested.
+    fn settle(&mut self, entry: &IndexEntry, verdict: Verdict, sweep: &mut Sweep<'_>) {
+        let (result, run) = match &verdict {
+            Verdict::Pruned => (None, None),
+            Verdict::Twin(result) => (Some(&**result), None),
+            Verdict::Tested { result, run } => (Some(result), Some(*run)),
+            Verdict::Panicked { run, .. } => (None, Some(*run)),
+        };
+        let mapped = result.is_some_and(|r| !r.is_empty());
+        let delivering =
+            mapped && result.is_some_and(|r| r.is_match(self.shared.config.delivery_threshold));
+        match (run, result) {
+            // Pruned or twin: served without a test.
+            (None, _) => {
+                self.shard.covered_skips.fetch_add(1, Ordering::Relaxed);
+            }
+            (Some(run), Some(_)) => {
+                self.tests += u64::from(run.attempts);
+                if self.covering && !mapped {
+                    // Conjunctive matcher: a predicate unsupported here
+                    // stays unsupported in every superset entry.
+                    sweep.record_miss(entry);
+                }
+            }
+            // Panicked: the event will be quarantined.
+            (Some(run), None) => {
+                self.tests += u64::from(run.attempts);
+                self.exhausted = self.exhausted.max(run.attempts);
+            }
+        }
+        // Cost attribution: one branch per dispatch when off. When on,
+        // the same deterministic splitmix64 decision the quality sampler
+        // uses picks 1-in-k tested or twin dispatches, charged the same
+        // span the stage histogram records, so k=1 attribution
+        // reconciles exactly.
+        let cost = self
+            .shared
+            .cost
+            .as_ref()
+            .filter(|c| {
+                !matches!(verdict, Verdict::Pruned) && c.should_sample(self.job.seq, entry.uid())
+            })
+            .map(|c| (c, run.map_or(0, |r| nanos_between(r.start, r.end))));
+        let match_span = self.match_span(entry, result, run);
+        let mut deliver_ns = 0;
+        if delivering || self.explain_ring || self.quality.is_some() {
+            // Stage 3 (deliver) starts at the match decision.
+            let (temperature, start) = run.map_or((CacheTemperature::Exact, Instant::now()), |r| {
+                (r.temperature, r.end)
+            });
+            // One shared result serves the fan-out and any twin hits; the
+            // unobserved no-match path never allocates it.
+            let verdict = match verdict {
+                Verdict::Pruned => Ok(Arc::new(MatchResult::no_match())),
+                Verdict::Twin(result) => Ok(result),
+                Verdict::Tested { result, .. } => {
+                    let result = Arc::new(result);
+                    if self.covering && delivering {
+                        sweep.record_hit(entry, &result);
+                    }
+                    Ok(result)
+                }
+                Verdict::Panicked { reason, .. } => Err(reason),
+            };
+            let verdict = verdict.as_ref().map_err(String::as_str);
+            deliver_ns = self.fan_out(entry, verdict, temperature, start, match_span, cost);
+        }
+        if let Some((cost, match_ns)) = cost {
+            flush_entry_cost(cost, entry, self.job, match_ns, deliver_ns);
+        }
+    }
+
+    /// Records a tested entry's match span under the route span: its
+    /// score, or `outcome=panicked` when every attempt panicked.
+    fn match_span(
+        &self,
+        entry: &IndexEntry,
+        result: Option<&MatchResult>,
+        run: Option<TestRun>,
+    ) -> Option<u64> {
+        let (route, run) = (self.route_span?, run?);
+        let label = entry
+            .fanout()
+            .first()
+            .map(|m| m.id.to_string())
+            .unwrap_or_else(|| "entry".to_string());
+        let judged = match result {
+            Some(r) => ("score".to_string(), format!("{}", r.score())),
+            None => ("outcome".to_string(), "panicked".to_string()),
+        };
+        Some(self.shared.spans.record_new(
+            Some(route),
+            self.job.seq,
+            "match",
+            run.start,
+            run.end,
+            vec![
+                ("subscription".to_string(), label),
+                (
+                    "temperature".to_string(),
+                    run.temperature.as_str().to_string(),
+                ),
+                judged,
+            ],
+        ))
+    }
+
     /// Permutes the entry's verdict into each member's predicate order
     /// (`FanoutMember::result_for`: members in the representative's order
     /// share the verdict's `Arc`) and hands the member's result to the
@@ -450,8 +609,16 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
             }
             Err(_) => (0.0, false, false),
         };
-        let explain = |id, reg, outcome, detail| {
-            explanation_for(shared, job, id, reg, score, temperature, outcome, detail)
+        let explain = |id, reg: &Registration, outcome, detail| MatchExplanation {
+            seq: job.seq,
+            subscription: id,
+            score,
+            threshold: shared.config.delivery_threshold,
+            subscription_themes: reg.subscription.theme_tags().to_vec(),
+            event_themes: job.event.theme_tags().to_vec(),
+            temperature,
+            outcome,
+            detail,
         };
         let fan = entry.fanout();
         let match_share = cost.map_or(0, |(_, ns)| ns / fan.len().max(1) as u64);
@@ -541,125 +708,139 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
         }
         deliver_total
     }
+
+    /// Ends the sweep: reaps the subscribers delivery flagged, records
+    /// the event's labeled families, and reports how the event ended.
+    fn finish(self) -> EventOutcome {
+        let (shared, job) = (self.shared, self.job);
+        for id in self.dead {
+            if shared.remove_subscription(id) {
+                shared
+                    .stats
+                    .disconnected_subscribers
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // Labeled families and top-k sketches, one pass per event: theme
+        // attribution and term frequencies. Disabled cost is the single
+        // branch on `dim`.
+        if let Some(dim) = &shared.dim {
+            for tag in job.event.theme_tags() {
+                if self.tests > 0 {
+                    dim.match_by_theme.add(tag, self.tests);
+                }
+                dim.hot_themes.record(tag);
+            }
+            for tuple in job.event.tuples() {
+                dim.hot_terms.record(tuple.attribute());
+                dim.hot_terms.record(tuple.value());
+            }
+        }
+        match self.exhausted {
+            0 => EventOutcome::Processed,
+            spent => EventOutcome::Quarantined {
+                attempts: job.attempts + spent,
+            },
+        }
+    }
 }
 
-/// One instrumented match test: panic isolation with the per-event
-/// attempt budget, per-attempt `match_tests` accounting, and
-/// cache-temperature classification by sampling the matcher's
-/// per-thread miss count around the call.
-struct TestRun {
-    outcome: Option<MatchResult>,
-    match_start: Instant,
-    match_end: Instant,
-    temperature: CacheTemperature,
-    last_panic: Option<String>,
-    /// Attempt budget burned when every attempt panicked, else 0.
-    exhausted: u32,
-    /// Attempts executed (each counted in `match_tests`).
-    tests_run: usize,
-}
-
+/// One instrumented match test of `entry`'s representative: panic
+/// isolation with the per-event attempt budget, per-attempt
+/// `match_tests` accounting, and the stage label. A test that consulted
+/// no semantic measure on this thread is `Exact`, whatever its syntax;
+/// one that did is `ThematicCold` when the matcher's per-thread miss
+/// count moved and `CacheWarm` otherwise. Both counts are per thread, so
+/// another worker's tests cannot relabel this one, and exact-only entries
+/// skip the sampling entirely.
 fn run_match_test<M>(
     shared: &Shared,
     matcher: &M,
     shard: &WorkerShard,
-    subscription: &Subscription,
-    approx: bool,
+    entry: &IndexEntry,
     job: &Job,
     degraded: tep_matcher::DegradedMatching,
-) -> TestRun
+) -> Verdict
 where
     M: Matcher + ?Sized,
 {
-    // Approximate subscriptions are classified by sampling the matcher's
-    // miss count for this thread around the call: a miss delta means the
-    // test computed a projection (thematic-cold), no delta means warm
-    // caches served it. The count is per thread, so another worker's
-    // misses cannot relabel this test. Exact-only subscriptions skip the
-    // sampling entirely.
-    let miss_before = if approx {
-        matcher.cache_miss_count()
-    } else {
-        0
-    };
-    let match_start = Instant::now();
-    let mut last_panic: Option<String> = None;
-    let mut tests_run = 0usize;
-    let mut exhausted = 0u32;
+    let sampled = entry
+        .approx
+        .then(|| (thread_measured_tests(), matcher.cache_miss_count()));
+    let start = Instant::now();
+    let test = || matcher.match_event_degraded(&entry.representative, &job.event, degraded);
+    let mut attempts = 0u32;
     let outcome = if shared.config.isolate_matcher_panics {
         let budget = shared
             .config
             .max_match_attempts
             .saturating_sub(job.attempts)
             .max(1);
-        let mut outcome = None;
-        for _ in 0..budget {
+        let mut outcome = Err(String::new());
+        while attempts < budget {
             shard.match_tests.fetch_add(1, Ordering::Relaxed);
-            tests_run += 1;
-            match catch_unwind(AssertUnwindSafe(|| {
-                matcher.match_event_degraded(subscription, &job.event, degraded)
-            })) {
+            attempts += 1;
+            match catch_unwind(AssertUnwindSafe(&test)) {
                 Ok(r) => {
-                    outcome = Some(r);
+                    outcome = Ok(r);
                     break;
                 }
                 Err(payload) => {
                     shard.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    last_panic = Some(panic_reason(payload.as_ref()));
+                    outcome = Err(panic_reason(payload.as_ref()));
                 }
             }
-        }
-        if outcome.is_none() {
-            exhausted = budget;
         }
         outcome
     } else {
         // Unisolated: a panic here unwinds through the worker loop and
         // kills the thread; the supervisor recovers the in-flight job.
         shard.match_tests.fetch_add(1, Ordering::Relaxed);
-        tests_run += 1;
-        Some(matcher.match_event_degraded(subscription, &job.event, degraded))
+        attempts = 1;
+        Ok(test())
     };
     // Chain the timestamps: the match end doubles as the deliver start,
     // halving the clock reads on the hot path.
-    let match_end = Instant::now();
-    let match_nanos = nanos_between(match_start, match_end);
+    let end = Instant::now();
     let stage = &shard.stage;
-    let temperature = if !approx {
-        stage.match_exact.record_nanos(match_nanos);
-        CacheTemperature::Exact
-    } else if matcher.cache_miss_count() > miss_before {
-        stage.match_thematic.record_nanos(match_nanos);
-        CacheTemperature::ThematicCold
-    } else {
-        stage.match_cached.record_nanos(match_nanos);
-        CacheTemperature::CacheWarm
+    let (temperature, histogram) = match sampled {
+        Some((measured, misses)) if thread_measured_tests() > measured => {
+            if matcher.cache_miss_count() > misses {
+                (CacheTemperature::ThematicCold, &stage.match_thematic)
+            } else {
+                (CacheTemperature::CacheWarm, &stage.match_cached)
+            }
+        }
+        _ => (CacheTemperature::Exact, &stage.match_exact),
     };
-    TestRun {
-        outcome,
-        match_start,
-        match_end,
+    histogram.record_nanos(nanos_between(start, end));
+    let run = TestRun {
+        start,
+        end,
         temperature,
-        last_panic,
-        exhausted,
-        tests_run,
+        attempts,
+    };
+    match outcome {
+        Ok(result) => Verdict::Tested { result, run },
+        Err(reason) => Verdict::Panicked { reason, run },
     }
 }
 
 /// Matches one event against its candidate **index entries** and fans
-/// delivery out to each entry's subscriber list, honoring the routing
-/// policy, panic isolation, covering, and the subscriber overload
-/// policy. Increments `processed` exactly once.
+/// delivery out to each entry's subscriber list, in four stages: admit
+/// ([`admit`]: queue wait, overload shedding), route ([`route`]: the
+/// cached candidate plan), judge and settle each entry
+/// ([`FanOut::judge`], [`FanOut::settle`]), and count the event's
+/// outcome ([`tally`]), which increments `processed` exactly once.
 ///
 /// Dispatch is entry-based: the subscription index hash-consed duplicate
 /// subscriptions onto shared entries, so one match test against an
 /// entry's representative serves its whole fan-out (match cost scales
 /// with distinct subscriptions). With a covering-safe matcher the sweep
 /// additionally prunes superset entries on a miss and short-circuits
-/// equal-set twins on a hit (`covered_skips`). There is one dispatch
-/// path: every entry verdict — a tested result, a twin's result, a
-/// covering prune's no-match — reaches its members through
-/// [`FanOut::fan_out`], which also feeds the observers (explain ring,
+/// equal-set twins on a hit (`covered_skips`). Every [`Verdict`] — a
+/// covering prune, a twin hit, a tested result, a panicked test — runs
+/// through the same tail, which feeds the observers (explain ring,
 /// quality sampler, cost, spans) one record per candidate pair.
 /// Installing an observer never changes what is tested or delivered.
 ///
@@ -675,50 +856,73 @@ fn process_event<M>(
 ) where
     M: Matcher + ?Sized,
 {
-    // Stage 1 (queue wait): publish → this dequeue. Retried jobs record
-    // one sample per pass, timed from their requeue.
     let dequeued = Instant::now();
+    let (outcome, parent) = match admit(shared, shard, &job, dequeued) {
+        Err(reason) => (EventOutcome::Shed(reason), job.span),
+        Ok(degraded) => {
+            let (mut sweep, route_span) = route(shared, shard, scratch, &job, dequeued);
+            let mut fan = FanOut {
+                shared,
+                matcher,
+                shard,
+                job: &job,
+                route_span,
+                covering: matcher.covering_safe(),
+                explain_ring: shared.explain.is_enabled(),
+                quality: shared.quality.get().map(Arc::as_ref),
+                tests: 0,
+                exhausted: 0,
+                dead: Vec::new(),
+            };
+            // One event, many candidate tests: let the matcher reuse its
+            // event-side scratch (interned symbols) across the whole
+            // sweep.
+            matcher.begin_event(&job.event);
+            let plan = sweep.plan;
+            for entry in plan.entries() {
+                let verdict = fan.judge(&mut sweep, entry, degraded);
+                fan.settle(entry, verdict, &mut sweep);
+            }
+            (fan.finish(), route_span)
+        }
+    };
+    tally(shared, shard, &job, dequeued, parent, outcome);
+}
+
+/// Admit stage. Records the queue wait (publish → this dequeue; a
+/// retried job records one sample per pass, timed from its requeue),
+/// then lets overload control (one branch when off) feed its queue-wait
+/// EWMA and either shed the event or pick the fidelity it is matched at.
+fn admit(
+    shared: &Shared,
+    shard: &WorkerShard,
+    job: &Job,
+    dequeued: Instant,
+) -> Result<tep_matcher::DegradedMatching, ShedReason> {
     let queue_wait_nanos = nanos_between(job.enqueued_at, dequeued);
     shard.stage.queue_wait.record_nanos(queue_wait_nanos);
-    // Overload control (one branch when off): feed the queue-wait EWMA,
-    // then decide whether this event is shed at dequeue and at what
-    // fidelity the survivors are matched. Shed events still count as
-    // `processed` — the liveness invariant (`flush` terminates) must hold
-    // under load shedding too.
-    let mut degraded = tep_matcher::DegradedMatching::Full;
-    if let Some(overload) = &shared.overload {
-        overload.observe_queue_wait(queue_wait_nanos);
-        if let Some(reason) = overload.shed_reason(job.deadline, job.priority, dequeued) {
-            let counter = match reason {
-                crate::ShedReason::Deadline => &shard.shed_deadline,
-                crate::ShedReason::Load => &shard.shed_load,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            shard.processed.fetch_add(1, Ordering::Relaxed);
-            if let Some(parent) = job.span {
-                let now = Instant::now();
-                shared.spans.record_new(
-                    Some(parent),
-                    job.seq,
-                    "shed",
-                    dequeued,
-                    now,
-                    vec![(
-                        "reason".to_string(),
-                        match reason {
-                            crate::ShedReason::Deadline => "deadline".to_string(),
-                            crate::ShedReason::Load => "load".to_string(),
-                        },
-                    )],
-                );
-            }
-            return;
-        }
-        degraded = overload.degraded_mode();
+    let Some(overload) = &shared.overload else {
+        return Ok(tep_matcher::DegradedMatching::Full);
+    };
+    overload.observe_queue_wait(queue_wait_nanos);
+    match overload.shed_reason(job.deadline, job.priority, dequeued) {
+        Some(reason) => Err(reason),
+        None => Ok(overload.degraded_mode()),
     }
-    // The worker's cached candidate plan for this event's routing key:
-    // matching never holds the index lock, and the sweep borrows the
-    // plan's entries instead of cloning them.
+}
+
+/// Route stage: the worker's cached candidate plan for the event's
+/// routing key, so matching never holds the index lock and the sweep
+/// borrows the plan's entries instead of cloning them. Also counts the
+/// routing skips and records the route span, which covers dequeue →
+/// candidate snapshot and parents every match span of the event.
+fn route<'s>(
+    shared: &Shared,
+    shard: &WorkerShard,
+    scratch: &'s mut DispatchScratch,
+    job: &Job,
+    dequeued: Instant,
+) -> (Sweep<'s>, Option<u64>) {
     let all_entries = match shared.config.routing_policy {
         RoutingPolicy::Broadcast => {
             shard.routed_broadcast.fetch_add(1, Ordering::Relaxed);
@@ -729,27 +933,22 @@ fn process_event<M>(
             false
         }
     };
-    let mut sweep = shared
+    let sweep = shared
         .index
         .collect_candidates(&job.event, all_entries, scratch);
     let plan = sweep.plan;
-    let (total_subs, candidate_subs) = (plan.total_subs, plan.candidate_subs);
-    // Skip accounting stays in *subscriber* units (as before the index):
-    // every subscriber behind a non-candidate entry was skipped without a
-    // match test.
+    // Skip accounting stays in *subscriber* units: every subscriber
+    // behind a non-candidate entry was skipped without a match test.
     let routing_skipped = if all_entries {
-        0usize
+        0
     } else {
-        total_subs.saturating_sub(candidate_subs) as usize
+        plan.total_subs.saturating_sub(plan.candidate_subs)
     };
     if routing_skipped > 0 {
         shard
             .routing_skipped
-            .fetch_add(routing_skipped as u64, Ordering::Relaxed);
+            .fetch_add(routing_skipped, Ordering::Relaxed);
     }
-    // The route span covers dequeue → candidate snapshot and parents
-    // every match test of the event; `None` for unsampled events keeps
-    // the hot path to a branch per stage.
     let route_span = job.span.map(|parent| {
         shared.spans.record_new(
             Some(parent),
@@ -758,265 +957,58 @@ fn process_event<M>(
             dequeued,
             Instant::now(),
             vec![
-                ("candidates".to_string(), candidate_subs.to_string()),
+                ("candidates".to_string(), plan.candidate_subs.to_string()),
                 ("routing_skipped".to_string(), routing_skipped.to_string()),
             ],
         )
     });
-    // Observers see every candidate subscriber × event pair, so when any
-    // is installed a non-delivering entry's fan-out is walked too; the
-    // switch is hoisted once per event and never changes what is tested.
-    let mut fan = FanOut {
-        shared,
-        matcher,
-        shard,
-        job: &job,
-        explain_ring: shared.explain.is_enabled(),
-        quality: shared.quality.get().map(Arc::as_ref),
-        dead: Vec::new(),
+    (sweep, route_span)
+}
+
+/// Counts how one event ended — the only place a worker bumps
+/// `processed`, `shed_*` or `quarantined` — and records its `shed` or
+/// `quarantine` span under `parent`. Shed and quarantined events still
+/// count as `processed`: the liveness invariant (`flush` terminates) must
+/// hold under load shedding and poison events too.
+fn tally(
+    shared: &Shared,
+    shard: &WorkerShard,
+    job: &Job,
+    dequeued: Instant,
+    parent: Option<u64>,
+    outcome: EventOutcome,
+) {
+    // The span's name, its start (`None`: an instant at the tally), and
+    // its one attribute.
+    let (name, start, attribute) = match outcome {
+        EventOutcome::Processed => {
+            shard.processed.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        EventOutcome::Shed(reason) => {
+            let (counter, label) = match reason {
+                ShedReason::Deadline => (&shard.shed_deadline, "deadline"),
+                ShedReason::Load => (&shard.shed_load, "load"),
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            shard.processed.fetch_add(1, Ordering::Relaxed);
+            ("shed", Some(dequeued), ("reason", label.to_string()))
+        }
+        EventOutcome::Quarantined { attempts } => {
+            quarantine(shared, Arc::clone(&job.event), attempts);
+            ("quarantine", None, ("attempts", attempts.to_string()))
+        }
     };
-    let observed = fan.explain_ring || fan.quality.is_some();
-    // Covering requires the matcher to declare conjunctive semantics.
-    let covering = matcher.covering_safe();
-    let mut match_tests = 0usize;
-    let mut exhausted_attempts = 0u32;
-    // Per-temperature test counts, flushed into the labeled families in
-    // one pass at the end of the event (a branch and three adds per
-    // event instead of per test).
-    let mut temp_exact = 0u64;
-    let mut temp_thematic = 0u64;
-    let mut temp_cached = 0u64;
-    // One event, many candidate tests: let the matcher reuse its
-    // event-side scratch (interned symbols) across the whole sweep.
-    matcher.begin_event(&job.event);
-    for entry in plan.entries() {
-        // Cost attribution: one branch per dispatch when off. When on,
-        // the same deterministic splitmix64 decision the quality sampler
-        // uses picks 1-in-k (event, entry) dispatches whose measured
-        // nanoseconds are charged to the entry, its themes, and its
-        // delivered subscribers.
-        let cost = shared
-            .cost
-            .as_ref()
-            .filter(|c| c.should_sample(job.seq, entry.uid()));
-        // One test per entry serves its whole fan-out.
-        if covering {
-            if sweep.is_pruned(entry) {
-                // A covered subset entry missed, so this entry cannot
-                // match: its members get the verdict a conjunctive
-                // matcher would have returned.
-                shard.covered_skips.fetch_add(1, Ordering::Relaxed);
-                if observed {
-                    let verdict = Arc::new(MatchResult::no_match());
-                    let start = Instant::now();
-                    fan.fan_out(
-                        entry,
-                        Ok(&verdict),
-                        CacheTemperature::Exact,
-                        start,
-                        None,
-                        None,
-                    );
-                }
-                continue;
-            }
-            if let Some(result) = sweep.take_twin_hit(entry) {
-                // An equal-set twin hit; its (already permuted) result
-                // serves this entry's fan-out without a test.
-                shard.covered_skips.fetch_add(1, Ordering::Relaxed);
-                let start = Instant::now();
-                let cost = cost.map(|c| (c, 0));
-                let deliver_ns = fan.fan_out(
-                    entry,
-                    Ok(&result),
-                    CacheTemperature::Exact,
-                    start,
-                    None,
-                    cost,
-                );
-                if let Some((cost, _)) = cost {
-                    flush_entry_cost(cost, entry, &job, 0, deliver_ns);
-                }
-                continue;
-            }
-        }
-        let run = run_match_test(
-            shared,
-            matcher,
-            shard,
-            &entry.representative,
-            entry.approx,
-            &job,
-            degraded,
+    if let Some(parent) = parent {
+        let end = Instant::now();
+        shared.spans.record_new(
+            Some(parent),
+            job.seq,
+            name,
+            start.unwrap_or(end),
+            end,
+            vec![(attribute.0.to_string(), attribute.1)],
         );
-        match_tests += run.tests_run;
-        match run.temperature {
-            CacheTemperature::Exact => temp_exact += 1,
-            CacheTemperature::ThematicCold => temp_thematic += 1,
-            CacheTemperature::CacheWarm => temp_cached += 1,
-        }
-        // The same span the stage histogram records, so k=1 attribution
-        // reconciles exactly.
-        let cost = cost.map(|c| (c, nanos_between(run.match_start, run.match_end)));
-        let label = || {
-            entry
-                .fanout()
-                .first()
-                .map(|m| m.id.to_string())
-                .unwrap_or_else(|| "entry".to_string())
-        };
-        let Some(result) = run.outcome else {
-            exhausted_attempts = exhausted_attempts.max(run.exhausted);
-            if let Some(route) = route_span {
-                shared.spans.record_new(
-                    Some(route),
-                    job.seq,
-                    "match",
-                    run.match_start,
-                    run.match_end,
-                    vec![
-                        ("subscription".to_string(), label()),
-                        (
-                            "temperature".to_string(),
-                            run.temperature.as_str().to_string(),
-                        ),
-                        ("outcome".to_string(), "panicked".to_string()),
-                    ],
-                );
-            }
-            if fan.explain_ring {
-                let reason = run.last_panic.as_deref().unwrap_or("unknown panic");
-                fan.fan_out(
-                    entry,
-                    Err(reason),
-                    run.temperature,
-                    run.match_end,
-                    None,
-                    None,
-                );
-            }
-            if let Some((cost, match_ns)) = cost {
-                flush_entry_cost(cost, entry, &job, match_ns, 0);
-            }
-            continue;
-        };
-        let score = result.score();
-        let mapped = !result.is_empty();
-        let delivering = mapped && result.is_match(shared.config.delivery_threshold);
-        if covering && !mapped {
-            // Conjunctive matcher: a predicate unsupported here stays
-            // unsupported in every superset entry.
-            sweep.record_miss(entry);
-        }
-        let match_span = route_span.map(|route| {
-            shared.spans.record_new(
-                Some(route),
-                job.seq,
-                "match",
-                run.match_start,
-                run.match_end,
-                vec![
-                    ("subscription".to_string(), label()),
-                    (
-                        "temperature".to_string(),
-                        run.temperature.as_str().to_string(),
-                    ),
-                    ("score".to_string(), format!("{score}")),
-                ],
-            )
-        });
-        let mut deliver_ns = 0;
-        if delivering || observed {
-            // One shared result serves the fan-out and any twin hits; the
-            // no-match path never allocates it.
-            let result = Arc::new(result);
-            if covering && delivering {
-                sweep.record_hit(entry, &result);
-            }
-            // Stage 3 (deliver) starts at the match decision.
-            deliver_ns = fan.fan_out(
-                entry,
-                Ok(&result),
-                run.temperature,
-                run.match_end,
-                match_span,
-                cost,
-            );
-        }
-        if let Some((cost, match_ns)) = cost {
-            flush_entry_cost(cost, entry, &job, match_ns, deliver_ns);
-        }
-    }
-    let FanOut { dead, .. } = fan;
-    if !dead.is_empty() {
-        let mut reaped: Vec<(SubscriptionId, Arc<Registration>)> = Vec::new();
-        {
-            let mut registry = shared.registry.write();
-            for id in dead {
-                if let Some(reg) = registry.remove(&id) {
-                    shared
-                        .stats
-                        .disconnected_subscribers
-                        .fetch_add(1, Ordering::Relaxed);
-                    reaped.push((id, reg));
-                }
-            }
-        }
-        // Index and matcher cleanup run outside the registry lock; an
-        // index entry whose fan-out empties is dropped with its leaves.
-        for (id, reg) in reaped {
-            shared.index.remove(id, &reg.subscription);
-            (shared.hooks.release)(&reg.subscription);
-        }
-    }
-    let quarantined = exhausted_attempts > 0;
-    if quarantined {
-        quarantine(
-            shared,
-            Arc::clone(&job.event),
-            job.attempts + exhausted_attempts,
-        );
-        if let Some(route) = route_span {
-            let now = Instant::now();
-            shared.spans.record_new(
-                Some(route),
-                job.seq,
-                "quarantine",
-                now,
-                now,
-                vec![(
-                    "attempts".to_string(),
-                    (job.attempts + exhausted_attempts).to_string(),
-                )],
-            );
-        }
-    } else {
-        shard.processed.fetch_add(1, Ordering::Relaxed);
-    }
-    // Labeled families and top-k sketches, one pass per event: theme
-    // attribution, temperature counts, and term frequencies. Disabled
-    // cost is the single branch on `dim`.
-    if let Some(dim) = &shared.dim {
-        let tests = match_tests as u64;
-        for tag in job.event.theme_tags() {
-            if tests > 0 {
-                dim.match_by_theme.add(tag, tests);
-            }
-            dim.hot_themes.record(tag);
-        }
-        for tuple in job.event.tuples() {
-            dim.hot_terms.record(tuple.attribute());
-            dim.hot_terms.record(tuple.value());
-        }
-        if temp_exact > 0 {
-            dim.match_by_temp.add("exact", temp_exact);
-        }
-        if temp_thematic > 0 {
-            dim.match_by_temp.add("thematic", temp_thematic);
-        }
-        if temp_cached > 0 {
-            dim.match_by_temp.add("cached", temp_cached);
-        }
     }
 }
 
@@ -1074,72 +1066,67 @@ fn deliver(
             return false;
         }
     }
-    match reg.sender.try_send(notification) {
-        Ok(()) => {
-            shard.notifications.fetch_add(1, Ordering::Relaxed);
-            if let Some(counter) = &reg.notif_counter {
-                counter.fetch_add(1, Ordering::Relaxed);
+    let admitted = match reg.sender.try_send(notification) {
+        Ok(()) => true,
+        Err(TrySendError::Full(notification)) => match shared.config.subscriber_policy {
+            SubscriberPolicy::DropNewest => {
+                shard.dropped_full.fetch_add(1, Ordering::Relaxed);
+                false
             }
-            // Load first: the field shares a cache line with `sender`,
-            // which every worker reads, so an unconditional store would
-            // bounce the line on every admitted notification.
-            if reg.consecutive_full.load(Ordering::Relaxed) != 0 {
-                reg.consecutive_full.store(0, Ordering::Relaxed);
-            }
-            if let Some((_, breaker)) = breaker {
-                breaker.lock().on_success();
-            }
-            true
-        }
-        Err(TrySendError::Full(notification)) => {
-            let admitted = match shared.config.subscriber_policy {
-                SubscriberPolicy::DropNewest => {
-                    shard.dropped_full.fetch_add(1, Ordering::Relaxed);
-                    false
+            SubscriberPolicy::DropOldest => drop_oldest_and_send(shard, reg, notification),
+            SubscriberPolicy::DisconnectAfter(limit) => {
+                shard.dropped_full.fetch_add(1, Ordering::Relaxed);
+                let consecutive = reg.consecutive_full.fetch_add(1, Ordering::Relaxed) + 1;
+                // The breaker supersedes the disconnect cliff: backed-off
+                // probing beats permanently losing the subscriber.
+                if consecutive >= limit && breaker.is_none() {
+                    dead.push(id);
                 }
-                SubscriberPolicy::DropOldest => drop_oldest_and_send(shard, reg, notification),
-                SubscriberPolicy::DisconnectAfter(limit) => {
-                    shard.dropped_full.fetch_add(1, Ordering::Relaxed);
-                    let consecutive = reg.consecutive_full.fetch_add(1, Ordering::Relaxed) + 1;
-                    // The breaker supersedes the disconnect cliff: backed-off
-                    // probing beats permanently losing the subscriber.
-                    if consecutive >= limit && breaker.is_none() {
-                        dead.push(id);
-                    }
-                    false
-                }
-            };
-            if let Some((config, breaker)) = breaker {
-                let mut state = breaker.lock();
-                if admitted {
-                    state.on_success();
-                } else {
-                    match state.on_failure(config, Instant::now()) {
-                        crate::overload::BreakerVerdict::Counted => {}
-                        crate::overload::BreakerVerdict::Tripped => {
-                            shard.breaker_trips.fetch_add(1, Ordering::Relaxed);
-                            shared.fire_trigger("breaker_trip", || {
-                                format!("subscriber {id} circuit breaker tripped")
-                            });
-                        }
-                        crate::overload::BreakerVerdict::Reap => dead.push(id),
-                    }
-                }
+                false
             }
-            admitted
-        }
+        },
         Err(TrySendError::Disconnected(_)) => {
             shard.dropped_disconnected.fetch_add(1, Ordering::Relaxed);
             dead.push(id);
-            false
+            return false;
+        }
+    };
+    if admitted {
+        shard.notifications.fetch_add(1, Ordering::Relaxed);
+        if let Some(counter) = &reg.notif_counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        // Load first: the field shares a cache line with `sender`, which
+        // every worker reads, so an unconditional store would bounce the
+        // line on every admitted notification.
+        if reg.consecutive_full.load(Ordering::Relaxed) != 0 {
+            reg.consecutive_full.store(0, Ordering::Relaxed);
         }
     }
+    if let Some((config, breaker)) = breaker {
+        let mut state = breaker.lock();
+        if admitted {
+            state.on_success();
+        } else {
+            match state.on_failure(config, Instant::now()) {
+                crate::overload::BreakerVerdict::Counted => {}
+                crate::overload::BreakerVerdict::Tripped => {
+                    shard.breaker_trips.fetch_add(1, Ordering::Relaxed);
+                    shared.fire_trigger("breaker_trip", || {
+                        format!("subscriber {id} circuit breaker tripped")
+                    });
+                }
+                crate::overload::BreakerVerdict::Reap => dead.push(id),
+            }
+        }
+    }
+    admitted
 }
 
 /// `DropOldest`: evict queued notifications until the new one fits. The
 /// registration holds a receiver clone, so the channel can never
 /// disconnect under this policy. Returns whether the new notification
-/// was admitted.
+/// was admitted; [`deliver`] counts an admission.
 fn drop_oldest_and_send(
     shard: &WorkerShard,
     reg: &Registration,
@@ -1153,13 +1140,7 @@ fn drop_oldest_and_send(
     };
     for _ in 0..8 {
         match reg.sender.try_send(notification) {
-            Ok(()) => {
-                shard.notifications.fetch_add(1, Ordering::Relaxed);
-                if let Some(counter) = &reg.notif_counter {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }
-                return true;
-            }
+            Ok(()) => return true,
             Err(TrySendError::Full(back)) => {
                 notification = back;
                 match evictor.try_recv() {

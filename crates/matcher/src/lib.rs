@@ -67,5 +67,5 @@ pub use explain::{MatchDetail, PredicateExplanation};
 pub use fault::{Fault, FaultConfig, FaultInjectingMatcher};
 pub use mapping::{Correspondence, Mapping, MatchResult};
 pub use matcher::{DegradedMatching, Matcher, ProbabilisticMatcher};
-pub use similarity::SimilarityMatrix;
+pub use similarity::{thread_measured_tests, SimilarityMatrix};
 pub use tep_semantics::{CacheStats, RelatednessDetail};

@@ -28,6 +28,9 @@ struct EventScope {
     the_id: ThemeId,
     /// Interned `(attribute, value)` ids per tuple.
     tuple_ids: Vec<(Option<TermId>, Option<TermId>)>,
+    /// Similarity builds on this thread whose subscription could consult
+    /// the measure (see [`thread_measured_tests`]).
+    measured: u64,
 }
 
 thread_local! {
@@ -42,8 +45,21 @@ thread_local! {
             flags: (false, false),
             the_id: ThemeId::EMPTY,
             tuple_ids: Vec::new(),
+            measured: 0,
         })
     };
+}
+
+/// Similarity builds run **on the calling thread** for a subscription
+/// with a semantic side, monotone: bumped at most once per match test,
+/// never per measure call. A caller that samples it around one test
+/// learns whether the test could consult a semantic measure at all. A
+/// matcher that builds no matrix (the exact matcher, or a test rejected
+/// before the build) and a purely exact subscription leave it unmoved.
+/// The broker labels such a test `exact` by what the matcher did
+/// rather than by subscription syntax.
+pub fn thread_measured_tests() -> u64 {
+    EVENT_SCOPE.with(|scope| scope.borrow().measured)
 }
 
 /// Opens an event scope for `event` on the calling thread: until the
@@ -164,6 +180,7 @@ impl SimilarityMatrix {
         EVENT_SCOPE.with(|scope| {
             let mut scope = scope.borrow_mut();
             let scope = &mut *scope;
+            scope.measured += u64::from(semantic);
             let in_scope = scope.event == event.identity();
             if !(in_scope && scope.filled && scope.flags == flags) {
                 scope.tuple_ids.clear();

@@ -134,31 +134,24 @@ fn thematic_match_tests_split_by_cache_temperature() {
     b.shutdown();
 }
 
-/// Each of the three stage labels, forced: an exact subscription's test
-/// is `Exact`; an approximate one's first sighting of the event vocabulary
-/// misses the semantic caches (`ThematicCold`); the same event again is
-/// served warm (`CacheWarm`). With one worker and the miss count sampled
-/// per thread, every count is exact.
+/// Every match-stage label can be forced and counted exactly. A test
+/// that consults no semantic measure is `Exact` — an exact-only
+/// subscription under any matcher, and *every* test under the exact
+/// matcher, `~` markers or not; an approximate subscription's first
+/// sighting of the event vocabulary misses the semantic caches
+/// (`ThematicCold`); the same event again is served warm (`CacheWarm`).
+/// With one worker and both signals sampled per thread, every count is
+/// exact.
 #[test]
 fn each_stage_label_is_forced_exactly() {
     let corpus = Corpus::generate(&CorpusConfig::small());
     let pvsm = Arc::new(ParametricVectorSpace::new(DistributionalSpace::new(
         InvertedIndex::build(&corpus),
     )));
-    let matcher = ProbabilisticMatcher::new(
+    let thematic = ProbabilisticMatcher::new(
         tep::semantics::CachedMeasure::new(ThematicEsaMeasure::new(pvsm)),
         MatcherConfig::top1(),
     );
-    let b = Broker::start(Arc::new(matcher), BrokerConfig::default().with_workers(1));
-    let (_, _exact) = b
-        .subscribe(parse_subscription("({energy policy}, {device= computer})").unwrap())
-        .unwrap();
-    let (_, _approx) = b
-        .subscribe(
-            parse_subscription("({energy policy}, {type~= increased energy usage event~})")
-                .unwrap(),
-        )
-        .unwrap();
     let event = parse_event(
         "({energy policy}, {type: increased energy consumption event, device: computer})",
     )
@@ -171,16 +164,39 @@ fn each_stage_label_is_forced_exactly() {
             s.match_cached.count(),
         )
     };
+    // One exact-only and one approximate subscription; the receivers
+    // must outlive the publishes.
+    let subscribe = |b: &Broker| {
+        [
+            "({energy policy}, {device= computer})",
+            "({energy policy}, {type~= increased energy usage event~})",
+        ]
+        .map(|text| b.subscribe(parse_subscription(text).unwrap()).unwrap())
+    };
+    let publish = |b: &Broker, times: usize| {
+        for _ in 0..times {
+            b.publish(event.clone()).unwrap();
+        }
+        b.flush().unwrap();
+    };
 
-    b.publish(event.clone()).unwrap();
-    b.flush().unwrap();
+    let b = Broker::start(Arc::new(thematic), BrokerConfig::default().with_workers(1));
+    let _subs = subscribe(&b);
+    publish(&b, 1);
     assert_eq!(counts(&b), (1, 1, 0), "first sighting: exact + cold");
-
-    for _ in 0..3 {
-        b.publish(event.clone()).unwrap();
-    }
-    b.flush().unwrap();
+    publish(&b, 3);
     assert_eq!(counts(&b), (4, 1, 3), "repeats: exact + warm");
+    assert_eq!(b.stats().match_tests, 8);
+    b.shutdown();
+
+    let b = exact_broker(BrokerConfig::default().with_workers(1));
+    let _subs = subscribe(&b);
+    publish(&b, 4);
+    assert_eq!(
+        counts(&b),
+        (8, 0, 0),
+        "the exact matcher consults no measure"
+    );
     assert_eq!(b.stats().match_tests, 8);
     b.shutdown();
 }

@@ -95,19 +95,48 @@ struct DispatchRun {
     match_tests: u64,
     covered_skips: u64,
     routing_skipped: u64,
+    quarantined: u64,
     explanations: usize,
+    /// Explanations whose outcome is `Panicked`.
+    panicked: usize,
     judged: u64,
+    /// Per temperature label: the scraped `tep_match_temperature_total`
+    /// series (0 when absent) and its match stage histogram's count.
+    temperatures: Vec<(u64, u64)>,
+}
+
+/// Silences the default panic hook for injected matcher faults only, so
+/// a real panic still prints.
+fn quiet_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<&str>()
+                .is_some_and(|m| m.contains("injected matcher fault"));
+            if !injected {
+                default_hook(info);
+            }
+        }));
+    });
 }
 
 /// Dispatches every event to every subscription of a population, with
 /// every observer off or every observer on: the explain ring, quality
-/// sampling at k=1, span sampling at 1, cost attribution at 1, and the
-/// first subscriber opted into per-notification explanations.
+/// sampling at k=1, span sampling at 1, cost attribution at 1, labeled
+/// metrics, and the first subscriber opted into per-notification
+/// explanations. The matcher is exact; with `fault_seed` it is wrapped
+/// in a fault injector that panics on a seeded share of the events, so
+/// those events' tests panic on every attempt and the events are
+/// quarantined.
 fn dispatch(
     sub_specs: &[Spec],
     event_specs: &[Spec],
     policy: RoutingPolicy,
     observed: bool,
+    fault_seed: Option<u64>,
 ) -> DispatchRun {
     let mut config = BrokerConfig::default()
         .with_workers(1)
@@ -117,9 +146,18 @@ fn dispatch(
             .with_explain_capacity(1024)
             .with_span_sampling(1)
             .with_span_capacity(4096)
-            .with_cost_attribution(1);
+            .with_cost_attribution(1)
+            .with_labeled_metrics(true);
     }
-    let mut broker = Broker::start(Arc::new(ExactMatcher::new()), config);
+    let matcher: Arc<dyn Matcher + Send + Sync> = match fault_seed {
+        None => Arc::new(ExactMatcher::new()),
+        Some(seed) => {
+            quiet_injected_panics();
+            let faults = FaultConfig::none(seed).with_panic_rate(0.3);
+            Arc::new(FaultInjectingMatcher::new(ExactMatcher::new(), faults))
+        }
+    };
+    let mut broker = Broker::start(matcher, config);
     if observed {
         broker = broker.with_quality_sampling(1, Box::new(EveryPairJudged));
     }
@@ -149,13 +187,35 @@ fn dispatch(
         }
     }
     let stats = broker.stats();
+    let explanations = broker.explain_last(1024);
+    let prom = broker.metrics().render_prometheus();
+    let stages = broker.stage_latencies();
+    let temperatures = [
+        ("cached", &stages.match_cached),
+        ("exact", &stages.match_exact),
+        ("thematic", &stages.match_thematic),
+    ]
+    .map(|(label, stage)| {
+        let series = format!("tep_match_temperature_total{{temperature=\"{label}\"}} ");
+        let scraped = prom
+            .lines()
+            .find_map(|line| line.strip_prefix(&series))
+            .map_or(0, |count| count.parse().expect("series value"));
+        (scraped, stage.count())
+    });
     let run = DispatchRun {
         delivered,
         match_tests: stats.match_tests,
         covered_skips: stats.covered_skips,
         routing_skipped: stats.routing_skipped,
-        explanations: broker.explain_last(1024).len(),
+        quarantined: stats.quarantined,
+        explanations: explanations.len(),
+        panicked: explanations
+            .iter()
+            .filter(|e| matches!(e.outcome, MatchOutcome::Panicked { .. }))
+            .count(),
         judged: broker.quality().map_or(0, |q| q.judged()),
+        temperatures: temperatures.to_vec(),
     };
     broker.shutdown();
     run
@@ -473,25 +533,41 @@ proptest! {
 
     /// Observers watch the one entry sweep; they never switch dispatch
     /// to another path. Over the same duplicate/permuted/covering
-    /// populations as above, a broker with every observer installed
-    /// tests and delivers exactly what an unobserved broker does —
-    /// correspondences included — while the explain ring and the
-    /// quality sampler each record one entry per candidate pair.
+    /// populations as above, and again with seeded matcher panics (so
+    /// panicked verdicts and quarantined events occur), a broker with
+    /// every observer installed tests, delivers and quarantines exactly
+    /// what an unobserved broker does — correspondences included. The
+    /// explain ring records one entry per candidate pair, panicked pairs
+    /// included; the quality sampler judges every pair that was not
+    /// panicked; and each scraped temperature series equals its match
+    /// stage histogram's count.
     #[test]
     fn observers_never_change_what_is_tested_or_delivered(
         sub_specs in proptest::collection::vec((tag_set(), pair_set(1)), 1..12),
         event_specs in proptest::collection::vec((tag_set(), pair_set(0)), 1..8),
+        seed in any::<u64>(),
     ) {
         for policy in [RoutingPolicy::Broadcast, RoutingPolicy::ThemeOverlap] {
-            let off = dispatch(&sub_specs, &event_specs, policy, false);
-            let on = dispatch(&sub_specs, &event_specs, policy, true);
-            prop_assert_eq!(&on.delivered, &off.delivered, "delivered under {:?}", policy);
-            prop_assert_eq!(on.match_tests, off.match_tests, "match_tests under {:?}", policy);
-            prop_assert_eq!(on.covered_skips, off.covered_skips);
-            prop_assert_eq!(on.routing_skipped, off.routing_skipped);
-            let pairs = (sub_specs.len() * event_specs.len()) as u64 - on.routing_skipped;
-            prop_assert_eq!(on.explanations as u64, pairs, "one explanation per candidate pair");
-            prop_assert_eq!(on.judged, pairs, "one quality sample per candidate pair");
+            for faults in [None, Some(seed)] {
+                let off = dispatch(&sub_specs, &event_specs, policy, false, faults);
+                let on = dispatch(&sub_specs, &event_specs, policy, true, faults);
+                let case = (policy, faults);
+                prop_assert_eq!(&on.delivered, &off.delivered, "delivered under {:?}", case);
+                prop_assert_eq!(on.match_tests, off.match_tests, "match_tests under {:?}", case);
+                prop_assert_eq!(on.covered_skips, off.covered_skips);
+                prop_assert_eq!(on.routing_skipped, off.routing_skipped);
+                prop_assert_eq!(on.quarantined, off.quarantined, "quarantined under {:?}", case);
+                let pairs = (sub_specs.len() * event_specs.len()) as u64 - on.routing_skipped;
+                prop_assert_eq!(on.explanations as u64, pairs, "one explanation per candidate pair");
+                prop_assert_eq!(
+                    on.judged,
+                    pairs - on.panicked as u64,
+                    "one quality sample per pair that was not panicked"
+                );
+                for (scraped, histogram) in &on.temperatures {
+                    prop_assert_eq!(scraped, histogram, "temperature series under {:?}", case);
+                }
+            }
         }
     }
     /// Candidate plans are cached per worker and stamped with the index
