@@ -5,7 +5,7 @@ use crate::explain::{ExplanationJson, MatchExplanation};
 use crate::notification::Notification;
 use crate::overload::{BreakerState, LoadState, OverloadController};
 use crate::quality::{QualityOracle, QualityReport, QualityState};
-use crate::stats::{BrokerStats, StageLatencies, StatsInner};
+use crate::stats::{BrokerStats, StageLatencies, StageRow, StatsInner, COUNTERS, STAGES};
 use crate::subindex::SubscriptionIndex;
 use crate::supervisor::{supervisor_loop, DeadLetter, DeadLetterQueue, Job};
 use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender, TrySendError};
@@ -23,8 +23,8 @@ use tep_events::{Event, Subscription};
 use tep_matcher::{CacheStats, Matcher};
 use tep_obs::{
     json_document, span_tree, BoundedRing, CostEntry, CostTable, CounterFamily, FlightRecorder,
-    FrameWriter, MetricsRegistry, RecorderConfig, SpanCollector, SpanJson, SpanNode, SpanRecord,
-    TopKSketch, WindowedDelta,
+    FrameWriter, HistogramSnapshot, MetricsRegistry, RecorderConfig, SpanCollector, SpanJson,
+    SpanNode, SpanRecord, TopKSketch, WindowedDelta,
 };
 
 /// Default deadline for the bare [`Broker::flush`] convenience wrapper.
@@ -430,15 +430,14 @@ impl CostReport {
     }
 }
 
-/// Frame counters exported as `{window="..."}` rate gauges, with the
-/// series each renders as (the rate of the matching `_total` counter).
-const WINDOWED_RATES: [(&str, &str); 5] = [
-    ("published", "tep_published_rate"),
-    ("processed", "tep_processed_rate"),
-    ("match_tests", "tep_match_tests_rate"),
-    ("notifications", "tep_notifications_rate"),
-    ("routing_skipped", "tep_routing_skipped_rate"),
-];
+/// Subscriber-channel backlog and open circuit breakers, summed in one
+/// allocation-free registry pass ([`Shared::subscriber_gauges`]).
+#[derive(Debug, Default)]
+pub(crate) struct SubscriberGauges {
+    depth_sum: usize,
+    depth_max: usize,
+    open_breakers: usize,
+}
 
 impl Shared {
     /// Removes a registration with everything derived from it: the
@@ -457,50 +456,47 @@ impl Shared {
         true
     }
 
-    /// Writes one flight-recorder diagnostic frame: counters, queue and
-    /// breaker gauges, load state, cumulative stage histograms, and the
-    /// hottest themes. Allocation-free in steady state — counters come
-    /// from a flat atomic snapshot, stages accumulate into the slot's
-    /// reused histograms, and gauges walk the registry without
-    /// collecting.
-    pub(crate) fn fill_frame(&self, w: &mut FrameWriter<'_>) {
-        let stats = self.stats.snapshot();
-        w.counter("published", stats.published);
-        w.counter("processed", stats.processed);
-        w.counter("match_tests", stats.match_tests);
-        w.counter("notifications", stats.notifications);
-        w.counter("routing_skipped", stats.routing_skipped);
-        w.counter("quarantined", stats.quarantined);
-        w.counter("rejected_publishes", stats.rejected_publishes);
-        w.counter("dropped_full", stats.dropped_full);
-        w.counter("dropped_disconnected", stats.dropped_disconnected);
-        w.counter("worker_panics", stats.worker_panics);
-        w.counter("shed_deadline", stats.shed_deadline);
-        w.counter("shed_load", stats.shed_load);
-        w.counter("breaker_open_drops", stats.breaker_open);
-        w.counter("breaker_trips", stats.breaker_trips);
-        w.gauge("live_workers", stats.live_workers as f64);
-        w.gauge("publish_queue_depth", self.ingress.len() as f64);
-        w.gauge("dead_letters", self.dead_letters.len() as f64);
-        // One registry pass for the subscriber-side gauges.
-        let mut depth_sum = 0usize;
-        let mut depth_max = 0usize;
-        let mut open_breakers = 0usize;
+    /// The subscriber-side gauges frames and `/metrics` share.
+    pub(crate) fn subscriber_gauges(&self) -> SubscriberGauges {
+        let mut out = SubscriberGauges::default();
         for reg in self.registry.read().values() {
             let depth = reg.sender.len();
-            depth_sum += depth;
-            depth_max = depth_max.max(depth);
+            out.depth_sum += depth;
+            out.depth_max = out.depth_max.max(depth);
             if reg
                 .breaker
                 .as_ref()
                 .is_some_and(|breaker| breaker.lock().is_open())
             {
-                open_breakers += 1;
+                out.open_breakers += 1;
             }
         }
-        w.gauge("subscriber_queue_depth_sum", depth_sum as f64);
-        w.gauge("subscriber_queue_depth_max", depth_max as f64);
-        w.gauge("open_breakers", open_breakers as f64);
+        out
+    }
+
+    /// Writes one flight-recorder diagnostic frame: the frame rows of
+    /// [`COUNTERS`], queue and breaker gauges, load state, every stage of
+    /// [`STAGES`] as a cumulative histogram, and the hottest themes.
+    /// Allocation-free in steady state — counters come from a flat
+    /// atomic snapshot, stages accumulate into the slot's reused
+    /// histograms, and gauges walk the registry without collecting.
+    pub(crate) fn fill_frame(&self, w: &mut FrameWriter<'_>) {
+        let stats = self.stats.snapshot();
+        for row in COUNTERS {
+            let Some(frame) = row.frame else { continue };
+            let value = (row.read)(&stats);
+            if row.gauge {
+                w.gauge(frame, value as f64);
+            } else {
+                w.counter(frame, value);
+            }
+        }
+        w.gauge("publish_queue_depth", self.ingress.len() as f64);
+        w.gauge("dead_letters", self.dead_letters.len() as f64);
+        let subscribers = self.subscriber_gauges();
+        w.gauge("subscriber_queue_depth_sum", subscribers.depth_sum as f64);
+        w.gauge("subscriber_queue_depth_max", subscribers.depth_max as f64);
+        w.gauge("open_breakers", subscribers.open_breakers as f64);
         match &self.overload {
             Some(overload) => {
                 w.label("load_state", overload.current().as_str());
@@ -508,21 +504,11 @@ impl Shared {
             }
             None => w.label("load_state", "off"),
         }
-        w.stage("queue_wait", |snap| {
-            self.stats.accumulate_stage(|t| &t.queue_wait, snap);
-        });
-        w.stage("match_exact", |snap| {
-            self.stats.accumulate_stage(|t| &t.match_exact, snap);
-        });
-        w.stage("match_thematic", |snap| {
-            self.stats.accumulate_stage(|t| &t.match_thematic, snap);
-        });
-        w.stage("match_cached", |snap| {
-            self.stats.accumulate_stage(|t| &t.match_cached, snap);
-        });
-        w.stage("deliver", |snap| {
-            self.stats.accumulate_stage(|t| &t.deliver, snap);
-        });
+        for stage in &STAGES {
+            w.stage(stage.name, |snap| {
+                self.stats.accumulate_stage(stage.timer, snap);
+            });
+        }
         if let Some(dim) = &self.dim {
             dim.hot_themes
                 .for_each_top(8, |name, count| w.theme(name, count));
@@ -1185,19 +1171,7 @@ impl Broker {
     /// Subscribers whose circuit breaker is currently open (0 when
     /// overload control is off).
     pub fn open_breakers(&self) -> usize {
-        if self.shared.overload.is_none() {
-            return 0;
-        }
-        self.shared
-            .registry
-            .read()
-            .values()
-            .filter(|reg| {
-                reg.breaker
-                    .as_ref()
-                    .is_some_and(|breaker| breaker.lock().is_open())
-            })
-            .count()
+        self.shared.subscriber_gauges().open_breakers
     }
 
     /// The `/overload` endpoint body: load state, queue-wait EWMA, shed
@@ -1398,12 +1372,11 @@ impl Broker {
     /// Every broker counter and stage histogram bundled into a
     /// [`MetricsRegistry`], ready for
     /// [`MetricsRegistry::render_prometheus`] or
-    /// [`MetricsRegistry::render_json`].
+    /// [`MetricsRegistry::render_json`]. Every [`BrokerStats`] series is
+    /// read from one snapshot.
     ///
     /// Beyond the cumulative series, the registry carries:
     ///
-    /// * per-policy routing decisions
-    ///   (`tep_routing_decisions_total{policy="..."}`),
     /// * queue-depth gauges for the ingress queue and the subscriber
     ///   channels, so overload policies are observable before they trip,
     /// * windowed (`{window="10s"|"60s"}`) rates and stage histograms
@@ -1412,198 +1385,49 @@ impl Broker {
     ///   [`BrokerConfig::labeled_metrics`] / quality sampling are on.
     pub fn metrics(&self) -> MetricsRegistry {
         let stats = self.stats();
-        let stages = self.stage_latencies();
-        // Each match stage histogram holds exactly one sample per test,
-        // so the labeled temperature family is read from their counts.
-        let tests_by_temperature = [
-            ("cached", stages.match_cached.count()),
-            ("exact", stages.match_exact.count()),
-            ("thematic", stages.match_thematic.count()),
-        ];
+        let subscribers = self.shared.subscriber_gauges();
+        let stages = STAGES.map(|stage| (stage, self.shared.stats.stage(stage.timer)));
+        let overload = self.shared.overload.is_some();
         let mut reg = MetricsRegistry::new();
-        reg.counter(
-            "tep_published_total",
-            "Events accepted by publish",
-            stats.published,
-        )
-        .counter(
-            "tep_processed_total",
-            "Events whose matching pass finished",
-            stats.processed,
-        )
-        .counter(
-            "tep_match_tests_total",
-            "Subscription x event match tests executed",
-            stats.match_tests,
-        )
-        .counter(
-            "tep_notifications_total",
-            "Notifications delivered to subscriber channels",
-            stats.notifications,
-        )
-        .counter(
-            "tep_dropped_full_total",
-            "Notifications dropped on a full subscriber channel",
-            stats.dropped_full,
-        )
-        .counter(
-            "tep_dropped_disconnected_total",
-            "Notifications dropped on a hung-up subscriber",
-            stats.dropped_disconnected,
-        )
-        .counter_with(
-            "tep_dropped_total",
-            "Notifications dropped, by reason",
-            &[("reason", "full")],
-            stats.dropped_full,
-        )
-        .counter_with(
-            "tep_dropped_total",
-            "Notifications dropped, by reason",
-            &[("reason", "disconnected")],
-            stats.dropped_disconnected,
-        )
-        .counter(
-            "tep_worker_panics_total",
-            "Matcher panics caught or fatal to a worker",
-            stats.worker_panics,
-        )
-        .counter(
-            "tep_workers_respawned_total",
-            "Workers respawned by the supervisor",
-            stats.workers_respawned,
-        )
-        .counter(
-            "tep_quarantined_total",
-            "Events moved to the dead-letter queue",
-            stats.quarantined,
-        )
-        .counter(
-            "tep_rejected_publishes_total",
-            "Publishes refused by the ingress overload policy",
-            stats.rejected_publishes,
-        )
-        .counter(
-            "tep_disconnected_subscribers_total",
-            "Subscriber registrations reaped",
-            stats.disconnected_subscribers,
-        )
-        .counter(
-            "tep_routing_skipped_total",
-            "Match tests skipped by theme routing",
-            stats.routing_skipped,
-        )
-        .counter(
-            "tep_covered_skips_total",
-            "Candidate index entries skipped by covering (subset miss or twin hit)",
-            stats.covered_skips,
-        )
-        .counter(
-            "tep_semantic_cache_hits_total",
-            "Semantic cache hits across the matcher's caches",
-            stats.semantic_cache.hits,
-        )
-        .counter(
-            "tep_semantic_cache_misses_total",
-            "Semantic cache misses across the matcher's caches",
-            stats.semantic_cache.misses,
-        )
-        .counter(
-            "tep_semantic_cache_evictions_total",
-            "Semantic cache entries dropped by rotation",
-            stats.semantic_cache.evictions,
-        )
-        .gauge(
-            "tep_live_workers",
-            "Worker threads currently alive",
-            stats.live_workers as f64,
-        )
-        .gauge(
-            "tep_semantic_cache_entries",
-            "Resident semantic cache entries",
-            stats.semantic_cache.entries as f64,
-        )
-        .gauge(
+        for row in COUNTERS.iter().filter(|row| overload || !row.overload_only) {
+            let value = (row.read)(&stats);
+            if row.gauge {
+                reg.gauge_with(row.name, row.help, row.labels, value as f64);
+            } else {
+                reg.counter_with(row.name, row.help, row.labels, value);
+            }
+        }
+        for (stage, snap) in &stages {
+            reg.histogram(
+                &format!("tep_stage_{}_seconds", stage.name),
+                stage.help,
+                snap.clone(),
+            )
+            .summary(
+                &format!("tep_stage_{}_summary_seconds", stage.name),
+                &format!("{} (quantile summary)", stage.help),
+                snap.clone(),
+            );
+        }
+        reg.gauge(
             "tep_dead_letters",
             "Events currently quarantined",
             self.dead_letter_count() as f64,
         )
         .gauge(
-            "tep_distinct_subscriptions",
-            "Distinct canonical predicate multisets currently subscribed",
-            stats.distinct_subscriptions as f64,
-        )
-        .gauge(
-            "tep_index_entries",
-            "Live hash-consed subscription index entries",
-            stats.index_entries as f64,
-        )
-        .summary(
-            "tep_stage_queue_wait_summary_seconds",
-            "Publish to dequeue queue wait (quantile summary)",
-            stages.queue_wait.clone(),
-        )
-        .summary(
-            "tep_stage_match_exact_summary_seconds",
-            "Match-test latency, exact-only subscriptions (quantile summary)",
-            stages.match_exact.clone(),
-        )
-        .summary(
-            "tep_stage_match_thematic_summary_seconds",
-            "Match-test latency, approximate cache-miss subscriptions (quantile summary)",
-            stages.match_thematic.clone(),
-        )
-        .summary(
-            "tep_stage_match_cached_summary_seconds",
-            "Match-test latency, warm-cache subscriptions (quantile summary)",
-            stages.match_cached.clone(),
-        )
-        .summary(
-            "tep_stage_deliver_summary_seconds",
-            "Match decision to subscriber-channel hand-off (quantile summary)",
-            stages.deliver.clone(),
-        )
-        .histogram(
-            "tep_stage_queue_wait_seconds",
-            "Publish to dequeue queue wait",
-            stages.queue_wait,
-        )
-        .histogram(
-            "tep_stage_match_exact_seconds",
-            "Match-test latency, exact-only subscriptions",
-            stages.match_exact,
-        )
-        .histogram(
-            "tep_stage_match_thematic_seconds",
-            "Match-test latency, approximate subscriptions with a cache miss",
-            stages.match_thematic,
-        )
-        .histogram(
-            "tep_stage_match_cached_seconds",
-            "Match-test latency, approximate subscriptions served from warm caches",
-            stages.match_cached,
-        )
-        .histogram(
-            "tep_stage_deliver_seconds",
-            "Match decision to subscriber-channel hand-off",
-            stages.deliver,
-        )
-        .counter_with(
-            "tep_routing_decisions_total",
-            "Events whose candidate set was selected, by routing policy",
-            &[("policy", "broadcast")],
-            stats.routed_broadcast,
-        )
-        .counter_with(
-            "tep_routing_decisions_total",
-            "Events whose candidate set was selected, by routing policy",
-            &[("policy", "theme_overlap")],
-            stats.routed_theme_overlap,
-        )
-        .gauge(
             "tep_publish_queue_depth",
             "Events waiting on the ingress queue",
             self.publish_queue_depth() as f64,
+        )
+        .gauge(
+            "tep_subscriber_queue_depth_sum",
+            "Notifications waiting across all subscriber channels",
+            subscribers.depth_sum as f64,
+        )
+        .gauge(
+            "tep_subscriber_queue_depth_max",
+            "Deepest subscriber channel backlog",
+            subscribers.depth_max as f64,
         )
         .gauge_with(
             "tep_build_info",
@@ -1619,22 +1443,20 @@ impl Broker {
             "Seconds since the broker started",
             self.shared.started.elapsed().as_secs_f64(),
         );
-        self.subscriber_queue_metrics(&mut reg);
         self.windowed_metrics(&mut reg);
-        self.labeled_metrics(&mut reg, tests_by_temperature);
+        self.labeled_metrics(&mut reg, &stages);
         self.quality_metrics(&mut reg);
-        self.overload_metrics(&mut reg);
+        self.overload_metrics(&mut reg, subscribers.open_breakers);
         self.cost_metrics(&mut reg);
         reg
     }
 
-    /// Load-state, shed, and circuit-breaker series; no-ops when overload
-    /// control is off.
-    fn overload_metrics(&self, reg: &mut MetricsRegistry) {
+    /// Load-state and open-breaker series; no-ops when overload control
+    /// is off. Its shed and breaker counters are [`COUNTERS`] rows.
+    fn overload_metrics(&self, reg: &mut MetricsRegistry, open_breakers: usize) {
         let Some(overload) = &self.shared.overload else {
             return;
         };
-        let stats = self.shared.stats.snapshot();
         reg.gauge(
             "tep_load_state",
             "Broker load state (0=healthy 1=elevated 2=overloaded 3=critical)",
@@ -1650,78 +1472,16 @@ impl Broker {
             "Load-state machine transitions",
             overload.transitions(),
         )
-        .counter_with(
-            "tep_shed_total",
-            "Events shed at dequeue by overload control, by reason",
-            &[("reason", "deadline")],
-            stats.shed_deadline,
-        )
-        .counter_with(
-            "tep_shed_total",
-            "Events shed at dequeue by overload control, by reason",
-            &[("reason", "load")],
-            stats.shed_load,
-        )
-        .counter_with(
-            "tep_dropped_total",
-            "Notifications dropped, by reason",
-            &[("reason", "breaker_open")],
-            stats.breaker_open,
-        )
-        .counter(
-            "tep_breaker_trips_total",
-            "Subscriber circuit-breaker trips (transitions to Open)",
-            stats.breaker_trips,
-        )
         .gauge(
             "tep_breakers_open",
             "Subscribers whose circuit breaker is currently open",
-            self.open_breakers() as f64,
+            open_breakers as f64,
         );
     }
 
-    /// Queue-depth gauges over the subscriber channels: the sum and max
-    /// across all registrations, plus per-subscriber labeled gauges when
-    /// labeled metrics are on (capped at the label cardinality).
-    fn subscriber_queue_metrics(&self, reg: &mut MetricsRegistry) {
-        let mut depths: Vec<(SubscriptionId, usize)> = self
-            .shared
-            .registry
-            .read()
-            .iter()
-            .map(|(id, r)| (*id, r.sender.len()))
-            .collect();
-        let sum: usize = depths.iter().map(|(_, d)| d).sum();
-        let max = depths.iter().map(|(_, d)| *d).max().unwrap_or(0);
-        reg.gauge(
-            "tep_subscriber_queue_depth_sum",
-            "Notifications waiting across all subscriber channels",
-            sum as f64,
-        )
-        .gauge(
-            "tep_subscriber_queue_depth_max",
-            "Deepest subscriber channel backlog",
-            max as f64,
-        );
-        if self.shared.dim.is_none() {
-            return;
-        }
-        // Deterministic export order; the cardinality cap bounds the
-        // series count, mirroring the counter families.
-        depths.sort_by_key(|(id, _)| *id);
-        depths.truncate(self.shared.config.label_cardinality);
-        for (id, depth) in depths {
-            reg.gauge_with(
-                "tep_subscriber_queue_depth",
-                "Notifications waiting per subscriber channel",
-                &[("subscriber", &id.to_string())],
-                depth as f64,
-            );
-        }
-    }
-
-    /// Windowed rates and stage-histogram slices for the last ~10s and
-    /// ~60s, labeled `{window="..."}` next to their cumulative series.
+    /// Windowed rates of the [`COUNTERS`] rows marked for them and
+    /// slices of every [`STAGES`] histogram for the last ~10s and ~60s,
+    /// labeled `{window="..."}` next to their cumulative series.
     /// A window is exported only when the recorder's ring can span it
     /// ([`FlightRecorder::horizon`]): at the default 64 × 250 ms that is
     /// the 10s window alone.
@@ -1739,33 +1499,55 @@ impl Broker {
             let Some(delta) = recorder.window(span) else {
                 continue;
             };
-            for (counter, series) in WINDOWED_RATES {
-                if let Some(rate) = delta.rate(counter) {
+            for row in COUNTERS.iter().filter(|row| row.rate) {
+                if let Some(rate) = row.frame.and_then(|frame| delta.rate(frame)) {
                     reg.gauge_with(
-                        series,
+                        &format!("{}_rate", row.name.trim_end_matches("_total")),
                         "Windowed per-second rate of the matching counter",
                         &[("window", label)],
                         rate,
                     );
                 }
             }
-            for (stage, snap) in delta.histograms() {
-                reg.histogram_with(
-                    &format!("tep_stage_{stage}_seconds"),
-                    "Windowed slice of the matching stage histogram",
-                    &[("window", label)],
-                    snap.clone(),
-                );
+            for stage in &STAGES {
+                if let Some(snap) = delta.histogram(stage.name) {
+                    reg.histogram_with(
+                        &format!("tep_stage_{}_seconds", stage.name),
+                        stage.help,
+                        &[("window", label)],
+                        snap.clone(),
+                    );
+                }
             }
         }
     }
 
-    /// Labeled counter families and top-k tracking gauges; no-ops when
-    /// [`BrokerConfig::labeled_metrics`] is off.
-    fn labeled_metrics(&self, reg: &mut MetricsRegistry, tests_by_temperature: [(&str, u64); 3]) {
+    /// Labeled counter families, per-subscriber queue-depth gauges
+    /// (capped at the label cardinality) and top-k tracking gauges;
+    /// no-ops when [`BrokerConfig::labeled_metrics`] is off.
+    fn labeled_metrics(&self, reg: &mut MetricsRegistry, stages: &[(StageRow, HistogramSnapshot)]) {
         let Some(dim) = &self.shared.dim else {
             return;
         };
+        let mut depths: Vec<(SubscriptionId, usize)> = self
+            .shared
+            .registry
+            .read()
+            .iter()
+            .map(|(id, r)| (*id, r.sender.len()))
+            .collect();
+        // Deterministic export order; the cardinality cap bounds the
+        // series count, mirroring the counter families.
+        depths.sort_by_key(|(id, _)| *id);
+        depths.truncate(self.shared.config.label_cardinality);
+        for (id, depth) in depths {
+            reg.gauge_with(
+                "tep_subscriber_queue_depth",
+                "Notifications waiting per subscriber channel",
+                &[("subscriber", &id.to_string())],
+                depth as f64,
+            );
+        }
         for (theme, count) in dim.match_by_theme.snapshot() {
             reg.counter_with(
                 "tep_theme_match_tests_total",
@@ -1774,13 +1556,18 @@ impl Broker {
                 count,
             );
         }
-        for (temperature, count) in tests_by_temperature {
-            if count > 0 {
+        // Each match stage histogram holds exactly one sample per test,
+        // so the temperature family is read from their counts.
+        for (stage, snap) in stages {
+            let Some(temperature) = stage.name.strip_prefix("match_") else {
+                continue;
+            };
+            if snap.count() > 0 {
                 reg.counter_with(
                     "tep_match_temperature_total",
                     "Match tests by cache temperature",
                     &[("temperature", temperature)],
-                    count,
+                    snap.count(),
                 );
             }
         }

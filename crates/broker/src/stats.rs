@@ -63,8 +63,8 @@ pub(crate) struct WorkerShard {
 }
 
 /// Lock-free per-stage latency histograms of the event pipeline. Workers
-/// record into these concurrently; [`StageTimers::snapshot`] produces the
-/// public [`StageLatencies`] view.
+/// record into these concurrently; [`STAGES`] declares how each one is
+/// read and exported.
 #[derive(Debug, Default)]
 pub(crate) struct StageTimers {
     /// Publish → dequeue: time an accepted event sat on the ingress queue.
@@ -79,18 +79,6 @@ pub(crate) struct StageTimers {
     pub match_cached: LatencyHistogram,
     /// Match decision → notification handed to the subscriber channel.
     pub deliver: LatencyHistogram,
-}
-
-impl StageTimers {
-    pub(crate) fn snapshot(&self) -> StageLatencies {
-        StageLatencies {
-            queue_wait: self.queue_wait.snapshot(),
-            match_exact: self.match_exact.snapshot(),
-            match_thematic: self.match_thematic.snapshot(),
-            match_cached: self.match_cached.snapshot(),
-            deliver: self.deliver.snapshot(),
-        }
-    }
 }
 
 /// A point-in-time snapshot of the broker's per-stage latency
@@ -157,8 +145,9 @@ pub(crate) fn nanos_between(start: Instant, end: Instant) -> u64 {
 pub struct BrokerStats {
     /// Events accepted by [`crate::Broker::publish`].
     pub published: u64,
-    /// Events whose matching pass finished (delivered, dropped, or
-    /// quarantined — every accepted event ends up here exactly once).
+    /// Events a worker finished with: matched (whatever became of their
+    /// notifications), shed at dequeue, or quarantined. Every accepted
+    /// event ends up here exactly once.
     pub processed: u64,
     /// Individual subscription × event match tests executed.
     pub match_tests: u64,
@@ -241,6 +230,261 @@ impl BrokerStats {
     }
 }
 
+/// One [`BrokerStats`] counter or gauge: the one declaration `/metrics`,
+/// `/metrics.json`, the flight-recorder frames and the windowed rates
+/// render from.
+#[derive(Debug)]
+pub(crate) struct CounterRow {
+    pub(crate) name: &'static str,
+    /// Fixed label pairs (e.g. `reason="full"`).
+    pub(crate) labels: &'static [(&'static str, &'static str)],
+    pub(crate) help: &'static str,
+    /// A gauge can go down; every other row is a counter.
+    pub(crate) gauge: bool,
+    pub(crate) read: fn(&BrokerStats) -> u64,
+    /// Frame name; `None` keeps the row out of frames.
+    pub(crate) frame: Option<&'static str>,
+    /// Whether the frame counter also exports a windowed `_rate` gauge.
+    pub(crate) rate: bool,
+    /// Exported to `/metrics` only with overload control on (frames always).
+    pub(crate) overload_only: bool,
+}
+
+impl CounterRow {
+    const fn counter(
+        name: &'static str,
+        help: &'static str,
+        read: fn(&BrokerStats) -> u64,
+    ) -> Self {
+        CounterRow {
+            name,
+            labels: &[],
+            help,
+            gauge: false,
+            read,
+            frame: None,
+            rate: false,
+            overload_only: false,
+        }
+    }
+
+    const fn gauge(name: &'static str, help: &'static str, read: fn(&BrokerStats) -> u64) -> Self {
+        let mut row = CounterRow::counter(name, help, read);
+        row.gauge = true;
+        row
+    }
+
+    const fn labeled(mut self, labels: &'static [(&'static str, &'static str)]) -> Self {
+        self.labels = labels;
+        self
+    }
+
+    const fn frame(mut self, frame: &'static str) -> Self {
+        self.frame = Some(frame);
+        self
+    }
+
+    /// A frame row with a windowed rate.
+    const fn windowed(mut self, frame: &'static str) -> Self {
+        self.rate = true;
+        self.frame(frame)
+    }
+
+    const fn overload_only(mut self) -> Self {
+        self.overload_only = true;
+        self
+    }
+}
+
+const DROPPED: &str = "Notifications dropped, by reason";
+const SHED: &str = "Events shed at dequeue by overload control, by reason";
+const ROUTED: &str = "Events whose candidate set was selected, by routing policy";
+
+/// Every exported [`BrokerStats`] counter and gauge, in export and frame
+/// order. A new counter is one field and one row here.
+pub(crate) const COUNTERS: &[CounterRow] = &[
+    CounterRow::counter("tep_published_total", "Events accepted by publish", |s| {
+        s.published
+    })
+    .windowed("published"),
+    CounterRow::counter(
+        "tep_processed_total",
+        "Events whose matching pass finished",
+        |s| s.processed,
+    )
+    .windowed("processed"),
+    CounterRow::counter(
+        "tep_match_tests_total",
+        "Subscription x event match tests executed",
+        |s| s.match_tests,
+    )
+    .windowed("match_tests"),
+    CounterRow::counter(
+        "tep_notifications_total",
+        "Notifications delivered to subscriber channels",
+        |s| s.notifications,
+    )
+    .windowed("notifications"),
+    CounterRow::counter(
+        "tep_routing_skipped_total",
+        "Match tests skipped by theme routing",
+        |s| s.routing_skipped,
+    )
+    .windowed("routing_skipped"),
+    CounterRow::counter("tep_routing_decisions_total", ROUTED, |s| {
+        s.routed_broadcast
+    })
+    .labeled(&[("policy", "broadcast")]),
+    CounterRow::counter("tep_routing_decisions_total", ROUTED, |s| {
+        s.routed_theme_overlap
+    })
+    .labeled(&[("policy", "theme_overlap")]),
+    CounterRow::counter(
+        "tep_covered_skips_total",
+        "Candidate index entries skipped by covering (subset miss or twin hit)",
+        |s| s.covered_skips,
+    ),
+    CounterRow::counter(
+        "tep_quarantined_total",
+        "Events moved to the dead-letter queue",
+        |s| s.quarantined,
+    )
+    .frame("quarantined"),
+    CounterRow::counter(
+        "tep_rejected_publishes_total",
+        "Publishes refused by the ingress overload policy",
+        |s| s.rejected_publishes,
+    )
+    .frame("rejected_publishes"),
+    CounterRow::counter(
+        "tep_dropped_full_total",
+        "Notifications dropped on a full subscriber channel",
+        |s| s.dropped_full,
+    )
+    .frame("dropped_full"),
+    CounterRow::counter(
+        "tep_dropped_disconnected_total",
+        "Notifications dropped on a hung-up subscriber",
+        |s| s.dropped_disconnected,
+    )
+    .frame("dropped_disconnected"),
+    CounterRow::counter(
+        "tep_worker_panics_total",
+        "Matcher panics caught or fatal to a worker",
+        |s| s.worker_panics,
+    )
+    .frame("worker_panics"),
+    CounterRow::counter(
+        "tep_workers_respawned_total",
+        "Workers respawned by the supervisor",
+        |s| s.workers_respawned,
+    ),
+    CounterRow::counter(
+        "tep_disconnected_subscribers_total",
+        "Subscriber registrations reaped",
+        |s| s.disconnected_subscribers,
+    ),
+    CounterRow::counter("tep_shed_total", SHED, |s| s.shed_deadline)
+        .labeled(&[("reason", "deadline")])
+        .frame("shed_deadline")
+        .overload_only(),
+    CounterRow::counter("tep_shed_total", SHED, |s| s.shed_load)
+        .labeled(&[("reason", "load")])
+        .frame("shed_load")
+        .overload_only(),
+    CounterRow::counter("tep_dropped_total", DROPPED, |s| s.dropped_full)
+        .labeled(&[("reason", "full")]),
+    CounterRow::counter("tep_dropped_total", DROPPED, |s| s.dropped_disconnected)
+        .labeled(&[("reason", "disconnected")]),
+    CounterRow::counter("tep_dropped_total", DROPPED, |s| s.breaker_open)
+        .labeled(&[("reason", "breaker_open")])
+        .frame("breaker_open_drops")
+        .overload_only(),
+    CounterRow::counter(
+        "tep_breaker_trips_total",
+        "Subscriber circuit-breaker trips (transitions to Open)",
+        |s| s.breaker_trips,
+    )
+    .frame("breaker_trips")
+    .overload_only(),
+    CounterRow::counter(
+        "tep_semantic_cache_hits_total",
+        "Semantic cache hits across the matcher's caches",
+        |s| s.semantic_cache.hits,
+    ),
+    CounterRow::counter(
+        "tep_semantic_cache_misses_total",
+        "Semantic cache misses across the matcher's caches",
+        |s| s.semantic_cache.misses,
+    ),
+    CounterRow::counter(
+        "tep_semantic_cache_evictions_total",
+        "Semantic cache entries dropped by rotation",
+        |s| s.semantic_cache.evictions,
+    ),
+    CounterRow::gauge("tep_live_workers", "Worker threads currently alive", |s| {
+        s.live_workers
+    })
+    .frame("live_workers"),
+    CounterRow::gauge(
+        "tep_semantic_cache_entries",
+        "Resident semantic cache entries",
+        |s| s.semantic_cache.entries,
+    ),
+    CounterRow::gauge(
+        "tep_distinct_subscriptions",
+        "Distinct canonical predicate multisets currently subscribed",
+        |s| s.distinct_subscriptions,
+    ),
+    CounterRow::gauge(
+        "tep_index_entries",
+        "Live hash-consed subscription index entries",
+        |s| s.index_entries,
+    ),
+];
+
+/// Reads one stage's histogram out of a worker shard's timers.
+pub(crate) type StageTimer = fn(&StageTimers) -> &LatencyHistogram;
+
+/// One pipeline stage: the one declaration its `tep_stage_{name}_seconds`
+/// histogram, `tep_stage_{name}_summary_seconds` summary (HELP plus
+/// " (quantile summary)"), frame stage and windowed slice render from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageRow {
+    pub(crate) name: &'static str,
+    pub(crate) help: &'static str,
+    pub(crate) timer: StageTimer,
+}
+
+/// Every pipeline stage, in export and frame order.
+pub(crate) const STAGES: [StageRow; 5] = [
+    StageRow {
+        name: "queue_wait",
+        help: "Publish to dequeue queue wait",
+        timer: |t| &t.queue_wait,
+    },
+    StageRow {
+        name: "match_exact",
+        help: "Match-test latency, tests that consulted no semantic measure",
+        timer: |t| &t.match_exact,
+    },
+    StageRow {
+        name: "match_thematic",
+        help: "Match-test latency, measured tests with at least one semantic-cache miss",
+        timer: |t| &t.match_thematic,
+    },
+    StageRow {
+        name: "match_cached",
+        help: "Match-test latency, measured tests served from warm caches",
+        timer: |t| &t.match_cached,
+    },
+    StageRow {
+        name: "deliver",
+        help: "Match decision to subscriber-channel hand-off",
+        timer: |t| &t.deliver,
+    },
+];
+
 impl StatsInner {
     /// A stats block with one [`WorkerShard`] per configured worker
     /// (at least one).
@@ -277,29 +521,28 @@ impl StatsInner {
 
     /// Stage latency distributions merged across every worker shard.
     pub(crate) fn stage_snapshot(&self) -> StageLatencies {
-        let mut out = StageLatencies::default();
-        for shard in self.shards.iter() {
-            let s = shard.stage.snapshot();
-            out.queue_wait = out.queue_wait.merged(&s.queue_wait);
-            out.match_exact = out.match_exact.merged(&s.match_exact);
-            out.match_thematic = out.match_thematic.merged(&s.match_thematic);
-            out.match_cached = out.match_cached.merged(&s.match_cached);
-            out.deliver = out.deliver.merged(&s.deliver);
+        StageLatencies {
+            queue_wait: self.stage(|t| &t.queue_wait),
+            match_exact: self.stage(|t| &t.match_exact),
+            match_thematic: self.stage(|t| &t.match_thematic),
+            match_cached: self.stage(|t| &t.match_cached),
+            deliver: self.stage(|t| &t.deliver),
         }
+    }
+
+    /// One stage's histogram merged across every worker shard.
+    pub(crate) fn stage(&self, timer: StageTimer) -> HistogramSnapshot {
+        let mut out = HistogramSnapshot::empty();
+        self.accumulate_stage(timer, &mut out);
         out
     }
 
     /// Accumulates one stage's histogram across every worker shard into
     /// a reused snapshot buffer without allocating — the flight
-    /// recorder's frame-tick counterpart of
-    /// [`StatsInner::stage_snapshot`].
-    pub(crate) fn accumulate_stage(
-        &self,
-        pick: impl Fn(&StageTimers) -> &LatencyHistogram,
-        out: &mut HistogramSnapshot,
-    ) {
+    /// recorder's frame-tick counterpart of [`StatsInner::stage`].
+    pub(crate) fn accumulate_stage(&self, timer: StageTimer, out: &mut HistogramSnapshot) {
         for shard in self.shards.iter() {
-            pick(&shard.stage).accumulate_into(out);
+            timer(&shard.stage).accumulate_into(out);
         }
     }
 

@@ -105,6 +105,29 @@ fn header(out: &mut String, emitted: &mut Vec<String>, name: &str, help: &str, k
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
+/// One coalesced sample: name, help, labels and the merged value.
+type Coalesced<'a, T> = (&'a str, &'a str, &'a Labels, T);
+
+/// `samples` with each duplicate `(name, labels)` folded into its first
+/// occurrence by `merge` (counters sum, gauges keep the last value,
+/// histograms and summaries merge), registration order preserved.
+fn coalesce<T: Clone>(
+    samples: &[(String, String, Labels, T)],
+    merge: impl Fn(&mut T, &T),
+) -> Vec<Coalesced<'_, T>> {
+    let mut out: Vec<Coalesced<'_, T>> = Vec::new();
+    for (name, help, labels, value) in samples {
+        match out
+            .iter_mut()
+            .find(|(n, _, l, _)| *n == name && *l == labels)
+        {
+            Some(entry) => merge(&mut entry.3, value),
+            None => out.push((name, help, labels, value.clone())),
+        }
+    }
+    out
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> MetricsRegistry {
@@ -221,83 +244,19 @@ impl MetricsRegistry {
         self
     }
 
-    /// Counters with duplicate `(name, labels)` summed, registration
-    /// order preserved (first occurrence wins the position).
-    fn coalesced_counters(&self) -> Vec<(&str, &str, &Labels, u64)> {
-        let mut out: Vec<(&str, &str, &Labels, u64)> = Vec::new();
-        for (name, help, labels, value) in &self.counters {
-            match out
-                .iter_mut()
-                .find(|(n, _, l, _)| *n == name && *l == labels)
-            {
-                Some(entry) => entry.3 += value,
-                None => out.push((name, help, labels, *value)),
-            }
-        }
-        out
-    }
-
-    /// Gauges with duplicate `(name, labels)` collapsed to the last
-    /// registered value (a gauge is a point-in-time reading).
-    fn coalesced_gauges(&self) -> Vec<(&str, &str, &Labels, f64)> {
-        let mut out: Vec<(&str, &str, &Labels, f64)> = Vec::new();
-        for (name, help, labels, value) in &self.gauges {
-            match out
-                .iter_mut()
-                .find(|(n, _, l, _)| *n == name && *l == labels)
-            {
-                Some(entry) => entry.3 = *value,
-                None => out.push((name, help, labels, *value)),
-            }
-        }
-        out
-    }
-
-    /// Histograms with duplicate `(name, labels)` merged bucket-wise
-    /// (per-shard copies of one logical histogram become one series).
-    fn coalesced_histograms(&self) -> Vec<(&str, &str, &Labels, HistogramSnapshot)> {
-        let mut out: Vec<(&str, &str, &Labels, HistogramSnapshot)> = Vec::new();
-        for (name, help, labels, snap) in &self.histograms {
-            match out
-                .iter_mut()
-                .find(|(n, _, l, _)| *n == name && *l == labels)
-            {
-                Some(entry) => entry.3.merge(snap),
-                None => out.push((name, help, labels, snap.clone())),
-            }
-        }
-        out
-    }
-
-    /// Summaries with duplicate `(name, labels)` merged snapshot-wise,
-    /// like histograms (the quantiles re-derive from the merge).
-    fn coalesced_summaries(&self) -> Vec<(&str, &str, &Labels, HistogramSnapshot)> {
-        let mut out: Vec<(&str, &str, &Labels, HistogramSnapshot)> = Vec::new();
-        for (name, help, labels, snap) in &self.summaries {
-            match out
-                .iter_mut()
-                .find(|(n, _, l, _)| *n == name && *l == labels)
-            {
-                Some(entry) => entry.3.merge(snap),
-                None => out.push((name, help, labels, snap.clone())),
-            }
-        }
-        out
-    }
-
     /// The Prometheus text exposition document.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         let mut emitted: Vec<String> = Vec::new();
-        for (name, help, labels, value) in self.coalesced_counters() {
+        for (name, help, labels, value) in coalesce(&self.counters, |sum, v| *sum += v) {
             header(&mut out, &mut emitted, name, help, "counter");
             let _ = writeln!(out, "{} {value}", series(name, labels));
         }
-        for (name, help, labels, value) in self.coalesced_gauges() {
+        for (name, help, labels, value) in coalesce(&self.gauges, |last, v| *last = *v) {
             header(&mut out, &mut emitted, name, help, "gauge");
             let _ = writeln!(out, "{} {value}", series(name, labels));
         }
-        for (name, help, labels, snap) in self.coalesced_histograms() {
+        for (name, help, labels, snap) in coalesce(&self.histograms, HistogramSnapshot::merge) {
             header(&mut out, &mut emitted, name, help, "histogram");
             // `le` joins the sample's own labels inside one brace set.
             let prefix: String = labels
@@ -326,7 +285,7 @@ impl MetricsRegistry {
                 series(&format!("{name}_count"), labels)
             );
         }
-        for (name, help, labels, snap) in self.coalesced_summaries() {
+        for (name, help, labels, snap) in coalesce(&self.summaries, HistogramSnapshot::merge) {
             header(&mut out, &mut emitted, name, help, "summary");
             // `quantile` joins the sample's own labels, like `le` does
             // for histograms.
@@ -364,16 +323,14 @@ impl MetricsRegistry {
     pub fn render_json(&self) -> String {
         // Summaries share the histogram JSON shape (both are snapshot
         // percentile objects); names are disjoint by convention.
-        let mut distributions = self.coalesced_histograms();
-        distributions.extend(self.coalesced_summaries());
+        let mut distributions = coalesce(&self.histograms, HistogramSnapshot::merge);
+        distributions.extend(coalesce(&self.summaries, HistogramSnapshot::merge));
         json_document(&RegistryJson {
-            counters: self
-                .coalesced_counters()
+            counters: coalesce(&self.counters, |sum, v| *sum += v)
                 .into_iter()
                 .map(|(name, _, labels, value)| (series(name, labels), value))
                 .collect(),
-            gauges: self
-                .coalesced_gauges()
+            gauges: coalesce(&self.gauges, |last, v| *last = *v)
                 .into_iter()
                 .map(|(name, _, labels, value)| (series(name, labels), value))
                 .collect(),

@@ -1209,3 +1209,207 @@ fn hostile_strings_round_trip_through_every_json_surface() {
     drop(rx);
     b.shutdown();
 }
+
+/// `(family, TYPE, label keys, HELP)` rows of a Prometheus exposition,
+/// one per distinct label-key set of a family, sorted. `le` and
+/// `quantile` belong to the histogram and summary encodings, not to the
+/// family's labels.
+fn exported_schema(text: &str) -> Vec<String> {
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut help = BTreeMap::new();
+    let mut kind = BTreeMap::new();
+    let mut label_sets = BTreeSet::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, text) = rest.split_once(' ').expect("HELP line");
+            help.insert(name, text);
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind_name) = rest.split_once(' ').expect("TYPE line");
+            kind.insert(name, kind_name);
+        } else {
+            let (name, labels) = match line.split_once('{') {
+                Some((name, rest)) => (name, rest.split_once('}').expect("closed labels").0),
+                None => (line.split_once(' ').expect("sample line").0, ""),
+            };
+            let family = if kind.contains_key(name) {
+                name
+            } else {
+                ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .find_map(|suffix| name.strip_suffix(suffix))
+                    .filter(|family| kind.contains_key(family))
+                    .unwrap_or_else(|| panic!("sample {line:?} has no TYPE"))
+            };
+            let keys: Vec<&str> = labels
+                .split(',')
+                .filter_map(|pair| pair.split_once('=').map(|(key, _)| key))
+                .filter(|key| *key != "le" && *key != "quantile")
+                .collect();
+            label_sets.insert((family, keys.join(",")));
+        }
+    }
+    let mut rows: Vec<String> = label_sets
+        .into_iter()
+        .map(|(family, keys)| format!("{family} {} {{{keys}}} {}", kind[family], help[family]))
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// The exported schema is pinned: the families, types, HELP texts and
+/// label keys of `/metrics`, and the flight-recorder frame counters the
+/// windowed series read, for a broker with every optional section on and
+/// for one with every section off.
+#[test]
+fn exported_metric_schema_is_pinned() {
+    struct KvOracle;
+    impl tep::broker::QualityOracle for KvOracle {
+        fn judge(&self, _s: &Subscription, e: &Event) -> Option<bool> {
+            Some(e.value_of("k") == Some("v"))
+        }
+    }
+    let publish_some = |b: &Broker| {
+        for value in ["v", "v", "w"] {
+            let event = Event::builder()
+                .theme_tag("city")
+                .tuple("k", value)
+                .build()
+                .unwrap();
+            b.publish(event).unwrap();
+        }
+        b.flush().unwrap();
+    };
+
+    let base = exact_broker(BrokerConfig::default().with_workers(1));
+    let (_, base_rx) = base
+        .subscribe(parse_subscription("{k= v}").unwrap())
+        .unwrap();
+    publish_some(&base);
+    let base_schema = exported_schema(&base.metrics().render_prometheus());
+    assert_eq!(base_schema, BASE_SCHEMA, "{base_schema:#?}");
+    drop(base_rx);
+    base.shutdown();
+
+    let full = exact_broker(
+        BrokerConfig::default()
+            .with_workers(2)
+            .with_explain_capacity(32)
+            .with_labeled_metrics(true)
+            .with_overload_control(OverloadConfig::default())
+            .with_flight_recorder(RecorderSettings::default())
+            .with_cost_attribution(1),
+    )
+    .with_quality_sampling(4, Box::new(KvOracle));
+    let (_, full_rx) = full
+        .subscribe(parse_subscription("{k= v}").unwrap())
+        .unwrap();
+    publish_some(&full);
+    full.record_diagnostic_frame();
+    full.record_diagnostic_frame();
+    let full_schema = exported_schema(&full.metrics().render_prometheus());
+    let mut expected: Vec<&str> = BASE_SCHEMA.iter().chain(SECTION_SCHEMA).copied().collect();
+    expected.sort_unstable();
+    assert_eq!(full_schema, expected, "{full_schema:#?}");
+
+    let window = full.window(Duration::from_secs(10)).expect("two frames");
+    let counters: Vec<&str> = window.counters().map(|(name, _)| name).collect();
+    assert_eq!(counters, FRAME_COUNTERS, "{counters:?}");
+    drop(full_rx);
+    full.shutdown();
+}
+
+/// Families every broker exports.
+const BASE_SCHEMA: &[&str] = &[
+    "tep_build_info gauge {version,git} Build metadata as an info gauge; constant 1",
+    "tep_covered_skips_total counter {} Candidate index entries skipped by covering (subset miss or twin hit)",
+    "tep_dead_letters gauge {} Events currently quarantined",
+    "tep_disconnected_subscribers_total counter {} Subscriber registrations reaped",
+    "tep_distinct_subscriptions gauge {} Distinct canonical predicate multisets currently subscribed",
+    "tep_dropped_disconnected_total counter {} Notifications dropped on a hung-up subscriber",
+    "tep_dropped_full_total counter {} Notifications dropped on a full subscriber channel",
+    "tep_dropped_total counter {reason} Notifications dropped, by reason",
+    "tep_index_entries gauge {} Live hash-consed subscription index entries",
+    "tep_live_workers gauge {} Worker threads currently alive",
+    "tep_match_tests_total counter {} Subscription x event match tests executed",
+    "tep_notifications_total counter {} Notifications delivered to subscriber channels",
+    "tep_processed_total counter {} Events whose matching pass finished",
+    "tep_publish_queue_depth gauge {} Events waiting on the ingress queue",
+    "tep_published_total counter {} Events accepted by publish",
+    "tep_quarantined_total counter {} Events moved to the dead-letter queue",
+    "tep_rejected_publishes_total counter {} Publishes refused by the ingress overload policy",
+    "tep_routing_decisions_total counter {policy} Events whose candidate set was selected, by routing policy",
+    "tep_routing_skipped_total counter {} Match tests skipped by theme routing",
+    "tep_semantic_cache_entries gauge {} Resident semantic cache entries",
+    "tep_semantic_cache_evictions_total counter {} Semantic cache entries dropped by rotation",
+    "tep_semantic_cache_hits_total counter {} Semantic cache hits across the matcher's caches",
+    "tep_semantic_cache_misses_total counter {} Semantic cache misses across the matcher's caches",
+    "tep_stage_deliver_seconds histogram {} Match decision to subscriber-channel hand-off",
+    "tep_stage_deliver_summary_seconds summary {} Match decision to subscriber-channel hand-off (quantile summary)",
+    "tep_stage_match_cached_seconds histogram {} Match-test latency, measured tests served from warm caches",
+    "tep_stage_match_cached_summary_seconds summary {} Match-test latency, measured tests served from warm caches (quantile summary)",
+    "tep_stage_match_exact_seconds histogram {} Match-test latency, tests that consulted no semantic measure",
+    "tep_stage_match_exact_summary_seconds summary {} Match-test latency, tests that consulted no semantic measure (quantile summary)",
+    "tep_stage_match_thematic_seconds histogram {} Match-test latency, measured tests with at least one semantic-cache miss",
+    "tep_stage_match_thematic_summary_seconds summary {} Match-test latency, measured tests with at least one semantic-cache miss (quantile summary)",
+    "tep_stage_queue_wait_seconds histogram {} Publish to dequeue queue wait",
+    "tep_stage_queue_wait_summary_seconds summary {} Publish to dequeue queue wait (quantile summary)",
+    "tep_subscriber_queue_depth_max gauge {} Deepest subscriber channel backlog",
+    "tep_subscriber_queue_depth_sum gauge {} Notifications waiting across all subscriber channels",
+    "tep_uptime_seconds gauge {} Seconds since the broker started",
+    "tep_worker_panics_total counter {} Matcher panics caught or fatal to a worker",
+    "tep_workers_respawned_total counter {} Workers respawned by the supervisor",
+];
+
+/// Families added by labeled metrics, overload control, the flight
+/// recorder, cost attribution and quality sampling.
+const SECTION_SCHEMA: &[&str] = &[
+    "tep_breaker_trips_total counter {} Subscriber circuit-breaker trips (transitions to Open)",
+    "tep_breakers_open gauge {} Subscribers whose circuit breaker is currently open",
+    "tep_cost_ns_total counter {entity,kind} Sampled cost nanoseconds charged, by entity class and stage kind",
+    "tep_cost_sample_every gauge {} Cost-attribution 1-in-k sampling rate",
+    "tep_cost_samples_total counter {} Dispatches charged by the cost sampler",
+    "tep_load_ewma_queue_wait_ms gauge {} EWMA ingress queue wait driving the load-state machine",
+    "tep_load_state gauge {} Broker load state (0=healthy 1=elevated 2=overloaded 3=critical)",
+    "tep_load_transitions_total counter {} Load-state machine transitions",
+    "tep_match_temperature_total counter {temperature} Match tests by cache temperature",
+    "tep_match_tests_rate gauge {window} Windowed per-second rate of the matching counter",
+    "tep_notifications_rate gauge {window} Windowed per-second rate of the matching counter",
+    "tep_processed_rate gauge {window} Windowed per-second rate of the matching counter",
+    "tep_published_rate gauge {window} Windowed per-second rate of the matching counter",
+    "tep_quality_drift_alerts gauge {} Rolling drift alerts currently raised",
+    "tep_quality_f1 gauge {} Live sampled F1 against the ground-truth oracle",
+    "tep_quality_precision gauge {} Live sampled precision against the ground-truth oracle",
+    "tep_quality_recall gauge {} Live sampled recall against the ground-truth oracle",
+    "tep_quality_samples_total counter {} Match tests judged by the quality oracle",
+    "tep_quality_unknown_total counter {} Sampled pairs the oracle could not judge",
+    "tep_routing_skipped_rate gauge {window} Windowed per-second rate of the matching counter",
+    "tep_shed_total counter {reason} Events shed at dequeue by overload control, by reason",
+    "tep_stage_deliver_seconds histogram {window} Match decision to subscriber-channel hand-off",
+    "tep_stage_match_cached_seconds histogram {window} Match-test latency, measured tests served from warm caches",
+    "tep_stage_match_exact_seconds histogram {window} Match-test latency, tests that consulted no semantic measure",
+    "tep_stage_match_thematic_seconds histogram {window} Match-test latency, measured tests with at least one semantic-cache miss",
+    "tep_stage_queue_wait_seconds histogram {window} Publish to dequeue queue wait",
+    "tep_subscriber_notifications_total counter {subscriber} Notifications admitted per subscriber channel",
+    "tep_subscriber_queue_depth gauge {subscriber} Notifications waiting per subscriber channel",
+    "tep_theme_match_tests_total counter {theme} Match tests attributed to each event theme tag",
+    "tep_topk_terms_tracked gauge {} Term slots occupied in the top-k sketch",
+    "tep_topk_themes_tracked gauge {} Theme slots occupied in the top-k sketch",
+];
+
+/// Flight-recorder frame counters, in frame order.
+const FRAME_COUNTERS: &[&str] = &[
+    "published",
+    "processed",
+    "match_tests",
+    "notifications",
+    "routing_skipped",
+    "quarantined",
+    "rejected_publishes",
+    "dropped_full",
+    "dropped_disconnected",
+    "worker_panics",
+    "shed_deadline",
+    "shed_load",
+    "breaker_open_drops",
+    "breaker_trips",
+];
