@@ -77,6 +77,82 @@ fn exact_no_match_steady_state_allocates_nothing() {
     );
 }
 
+/// A theme-routed broker on `config` plus the themed event of the
+/// routed tests, warmed past every first-touch growth and one plan
+/// rebuild.
+fn theme_routed_rig(config: BrokerConfig) -> (Broker, Arc<Event>) {
+    let broker = Broker::start(
+        Arc::new(ExactMatcher::new()),
+        config
+            .with_workers(1)
+            .with_routing_policy(RoutingPolicy::ThemeOverlap),
+    );
+    // A mixed population exercising every candidate source: two
+    // themed subscriptions sharing a tag with the event (one a
+    // predicate subset of the other, so a covering edge is live),
+    // one disjoint theme that must be skipped without a test, and
+    // one theme-less broadcast entry.
+    let subs = [
+        Subscription::builder()
+            .theme_tag("power")
+            .predicate_exact("device", "never-present")
+            .build()
+            .expect("subscription"),
+        Subscription::builder()
+            .theme_tag("power")
+            .predicate_exact("device", "never-present")
+            .predicate_exact("office", "nowhere")
+            .build()
+            .expect("subscription"),
+        Subscription::builder()
+            .theme_tag("transport")
+            .predicate_exact("device", "never-present")
+            .build()
+            .expect("subscription"),
+        Subscription::builder()
+            .predicate_exact("office", "never-present")
+            .build()
+            .expect("subscription"),
+    ];
+    for sub in subs {
+        let (_id, _rx) = broker.subscribe(sub).expect("subscribe");
+    }
+    let event = Arc::new(
+        Event::builder()
+            .theme_tag("power")
+            .theme_tag("grid")
+            .tuple("device", "computer")
+            .tuple("office", "room 112")
+            .build()
+            .expect("event"),
+    );
+
+    // Warmup grows the dispatch scratch to the index high-water
+    // mark and seeds the interner's theme front cache for this
+    // tag list.
+    for _ in 0..512 {
+        broker.publish_arc(Arc::clone(&event)).expect("publish");
+    }
+    broker.flush_timeout(FLUSH).expect("warmup flush");
+    // A write after warm-up stales the worker's cached candidate
+    // plan; the next event rebuilds it. The window must then run on
+    // the rebuilt plan without allocating.
+    let late = Subscription::builder()
+        .theme_tag("grid")
+        .predicate_exact("office", "nowhere")
+        .predicate_exact("device", "never-present")
+        .build()
+        .expect("subscription");
+    let (_id, _rx) = broker.subscribe(late).expect("subscribe");
+    broker.publish_arc(Arc::clone(&event)).expect("publish");
+    broker.flush_timeout(FLUSH).expect("rebuild flush");
+    // The late entry covers the first one, so the rebuilt plan
+    // prunes it: two tests and now two covered skips per event.
+    let stats = broker.stats();
+    assert_eq!((stats.match_tests, stats.covered_skips), (513 * 2, 512 + 2));
+    (broker, event)
+}
+
 #[test]
 fn theme_routed_steady_state_allocates_nothing() {
     // The regression under test: the old routing table built a fresh
@@ -86,78 +162,7 @@ fn theme_routed_steady_state_allocates_nothing() {
     // zero-allocation guarantee as the broadcast path above — also after
     // a subscription write has forced a candidate plan rebuild.
     let allocated = tep_bench::alloc::count_window(
-        || {
-            let broker = Broker::start(
-                Arc::new(ExactMatcher::new()),
-                BrokerConfig::default()
-                    .with_workers(1)
-                    .with_routing_policy(RoutingPolicy::ThemeOverlap),
-            );
-            // A mixed population exercising every candidate source: two
-            // themed subscriptions sharing a tag with the event (one a
-            // predicate subset of the other, so a covering edge is live),
-            // one disjoint theme that must be skipped without a test, and
-            // one theme-less broadcast entry.
-            let subs = [
-                Subscription::builder()
-                    .theme_tag("power")
-                    .predicate_exact("device", "never-present")
-                    .build()
-                    .expect("subscription"),
-                Subscription::builder()
-                    .theme_tag("power")
-                    .predicate_exact("device", "never-present")
-                    .predicate_exact("office", "nowhere")
-                    .build()
-                    .expect("subscription"),
-                Subscription::builder()
-                    .theme_tag("transport")
-                    .predicate_exact("device", "never-present")
-                    .build()
-                    .expect("subscription"),
-                Subscription::builder()
-                    .predicate_exact("office", "never-present")
-                    .build()
-                    .expect("subscription"),
-            ];
-            for sub in subs {
-                let (_id, _rx) = broker.subscribe(sub).expect("subscribe");
-            }
-            let event = Arc::new(
-                Event::builder()
-                    .theme_tag("power")
-                    .theme_tag("grid")
-                    .tuple("device", "computer")
-                    .tuple("office", "room 112")
-                    .build()
-                    .expect("event"),
-            );
-
-            // Warmup grows the dispatch scratch to the index high-water
-            // mark and seeds the interner's theme front cache for this
-            // tag list.
-            for _ in 0..512 {
-                broker.publish_arc(Arc::clone(&event)).expect("publish");
-            }
-            broker.flush_timeout(FLUSH).expect("warmup flush");
-            // A write after warm-up stales the worker's cached candidate
-            // plan; the next event rebuilds it. The window below must
-            // then run on the rebuilt plan without allocating.
-            let late = Subscription::builder()
-                .theme_tag("grid")
-                .predicate_exact("office", "nowhere")
-                .predicate_exact("device", "never-present")
-                .build()
-                .expect("subscription");
-            let (_id, _rx) = broker.subscribe(late).expect("subscribe");
-            broker.publish_arc(Arc::clone(&event)).expect("publish");
-            broker.flush_timeout(FLUSH).expect("rebuild flush");
-            // The late entry covers the first one, so the rebuilt plan
-            // prunes it: two tests and now two covered skips per event.
-            let stats = broker.stats();
-            assert_eq!((stats.match_tests, stats.covered_skips), (513 * 2, 512 + 2));
-            (broker, event)
-        },
+        || theme_routed_rig(BrokerConfig::default()),
         publish_steady_state,
     );
 
@@ -166,6 +171,31 @@ fn theme_routed_steady_state_allocates_nothing() {
         "steady-state theme-routed no-match path performed {allocated} heap \
          allocations over 2048 events; candidate collection must reuse the \
          worker scratch"
+    );
+}
+
+#[test]
+fn attributed_theme_routed_steady_state_allocates_nothing() {
+    // Labeled counts and cost attribution at k = 1 on the routed path:
+    // every dispatch charges its entry and every event charges its two
+    // theme rows, counts and sampled nanoseconds alike, and feeds the
+    // theme and term sketches, all without allocating.
+    let allocated = tep_bench::alloc::count_window(
+        || {
+            theme_routed_rig(
+                BrokerConfig::default()
+                    .with_labeled_metrics(true)
+                    .with_cost_attribution(1),
+            )
+        },
+        publish_steady_state,
+    );
+
+    assert_eq!(
+        allocated, 0,
+        "steady-state attributed theme-routed path performed {allocated} \
+         heap allocations over 2048 events; attribution rows must be \
+         charged in place"
     );
 }
 

@@ -22,9 +22,9 @@ use std::time::{Duration, Instant};
 use tep_events::{Event, Subscription};
 use tep_matcher::{CacheStats, Matcher};
 use tep_obs::{
-    json_document, span_tree, BoundedRing, CostEntry, CostTable, CounterFamily, FlightRecorder,
-    FrameWriter, HistogramSnapshot, MetricsRegistry, RecorderConfig, SpanCollector, SpanJson,
-    SpanNode, SpanRecord, TopKSketch, WindowedDelta,
+    json_document, sort_by_cost, span_tree, AttributionRow, BoundedRing, CostEntry, CostTable,
+    FlightRecorder, FrameWriter, HistogramSnapshot, LabeledRows, MetricsRegistry, RecorderConfig,
+    SpanCollector, SpanJson, SpanNode, SpanRecord, TopKSketch, WindowedDelta, OVERFLOW_LABEL,
 };
 
 /// Default deadline for the bare [`Broker::flush`] convenience wrapper.
@@ -90,10 +90,10 @@ pub(crate) struct Registration {
     /// Whether this subscriber opted into per-notification explanations
     /// ([`SubscribeOptions::explain`]).
     pub(crate) explain: bool,
-    /// Pre-resolved handle into the per-subscriber notification counter
-    /// family, so the delivery hot path pays one `fetch_add` instead of a
-    /// label lookup. `None` when labeled metrics are off.
-    pub(crate) notif_counter: Option<Arc<AtomicU64>>,
+    /// This subscriber's attribution row, resolved at subscribe time so
+    /// a delivery charges it with no lock and no lookup. `None` when
+    /// attribution is off.
+    pub(crate) attribution: Option<Arc<AttributionRow>>,
     /// This subscriber's circuit breaker; `None` unless overload control
     /// is on ([`BrokerConfig::with_overload_control`]), so the disabled
     /// delivery path pays a single branch.
@@ -204,10 +204,10 @@ pub(crate) struct Shared {
     /// Sampled causal spans; disabled unless
     /// [`BrokerConfig::span_sample_every`] is non-zero.
     pub(crate) spans: SpanCollector,
-    /// Labeled metric families; `None` unless
-    /// [`BrokerConfig::labeled_metrics`] is on, so the disabled hot path
-    /// pays one branch per event.
-    pub(crate) dim: Option<DimMetrics>,
+    /// Theme, subscriber and entry attribution; `None` unless
+    /// [`BrokerConfig::labeled_metrics`] or cost attribution is on, so
+    /// the disabled dispatch path pays a single branch.
+    pub(crate) attribution: Option<Attribution>,
     /// The shadow quality evaluator; empty unless
     /// [`Broker::with_quality_sampling`] installed an oracle.
     pub(crate) quality: OnceLock<Arc<QualityState>>,
@@ -221,93 +221,65 @@ pub(crate) struct Shared {
     /// supervisor's poll loop ticks it, so the dispatch path never
     /// touches it.
     pub(crate) recorder: Option<FlightRecorder>,
-    /// The sampling cost-attribution tables; `None` unless
-    /// [`BrokerConfig::with_cost_attribution`] enabled them, so the
-    /// dispatch hot path pays a single branch when they are off.
-    pub(crate) cost: Option<CostState>,
     /// Broker start time, backing the `tep_uptime_seconds` gauge.
     pub(crate) started: Instant,
 }
 
-/// Labeled (dimensional) metric families, built once at start-up when
-/// [`BrokerConfig::labeled_metrics`] is on. Theme and subscriber
-/// families are capped at [`BrokerConfig::label_cardinality`] series;
-/// excess labels fold into the `_overflow` bucket.
-pub(crate) struct DimMetrics {
-    /// Match tests attributed to each event theme tag (an event with two
-    /// tags counts its tests under both, so the family's sum can exceed
-    /// the bare `tep_match_tests_total`).
-    pub(crate) match_by_theme: CounterFamily,
-    /// Notifications admitted per subscriber id.
-    pub(crate) notif_by_sub: CounterFamily,
-    /// Space-saving sketch of the hottest event theme tags.
+/// Dispatch work attributed to index entries, event themes and
+/// subscribers, built once at start-up when either switch is on: one
+/// row per key, whose count column is written only with
+/// [`BrokerConfig::labeled_metrics`] on and whose sampled-nanosecond
+/// columns only with [`BrokerConfig::cost_sample_every`] non-zero. A
+/// deterministic 1-in-k sample of dispatches is charged; scaling a
+/// sampled figure by `every` estimates the true total (exact when
+/// `every == 1`).
+pub(crate) struct Attribution {
+    /// Whether the count columns are written (labeled metrics).
+    pub(crate) counts: bool,
+    /// The 1-in-k sampling rate; 0 when cost attribution is off.
+    pub(crate) every: u64,
+    /// Per index entry, keyed by the entry's dense slot and stamped with
+    /// its uid so recycled slots never inherit charges.
+    pub(crate) entries: CostTable,
+    /// Per event theme tag: the event's match tests and the sampled
+    /// nanoseconds of its dispatches (an event with two tags charges
+    /// both, so the rows' sums can exceed the bare totals). Capped at
+    /// [`BrokerConfig::label_cardinality`] tags; the rest fold into the
+    /// overflow row.
+    pub(crate) themes: LabeledRows<String>,
+    /// Per subscriber id: admitted notifications and the subscriber's
+    /// share of sampled dispatches. Every registration holds its row.
+    pub(crate) subscribers: LabeledRows<u64>,
+    /// Space-saving sketch of the hottest event theme tags by frequency.
     pub(crate) hot_themes: TopKSketch,
     /// Space-saving sketch of the hottest event terms (tuple attributes
     /// and values).
     pub(crate) hot_terms: TopKSketch,
+    /// Space-saving sketch of the most expensive index entries (by
+    /// sampled match + deliver nanoseconds), read by recorder frames.
+    pub(crate) hot_entries: TopKSketch,
+    /// Every sampled dispatch, reconciled against the stage histograms
+    /// (sampled × every ≈ histogram sum).
+    pub(crate) sampled: AttributionRow,
 }
 
-impl DimMetrics {
-    fn new(cardinality: usize) -> DimMetrics {
-        DimMetrics {
-            match_by_theme: CounterFamily::new(cardinality),
-            notif_by_sub: CounterFamily::new(cardinality),
+/// The theme row charged by sampled dispatches of untagged events.
+const UNTAGGED: &str = "untagged";
+
+impl Attribution {
+    fn new(config: &BrokerConfig) -> Option<Attribution> {
+        let cardinality = config.label_cardinality;
+        (config.labeled_metrics || config.cost_sample_every > 0).then(|| Attribution {
+            counts: config.labeled_metrics,
+            every: config.cost_sample_every,
+            entries: CostTable::new(),
+            themes: LabeledRows::new(cardinality),
+            subscribers: LabeledRows::new(usize::MAX),
             hot_themes: TopKSketch::new(cardinality.max(16)),
             hot_terms: TopKSketch::new(cardinality.max(16)),
-        }
-    }
-}
-
-/// Sampling cost-attribution state, built once at start-up when
-/// [`BrokerConfig::with_cost_attribution`] is on. A deterministic 1-in-k
-/// sample of dispatches charges measured match and deliver nanoseconds to
-/// the owning subscription-index entry, the event's theme tags, and the
-/// delivered subscribers; scaling any sampled figure by `every`
-/// estimates the true total (exact when `every == 1`).
-pub(crate) struct CostState {
-    /// The 1-in-k sampling rate; always ≥ 1 when the state exists.
-    pub(crate) every: u64,
-    /// Exact per-index-entry totals, keyed by the entry's dense slot and
-    /// stamped with its uid so recycled slots never inherit charges.
-    pub(crate) entries: CostTable,
-    /// Exact per-subscriber totals, keyed by subscription id.
-    pub(crate) subscribers: CostTable,
-    /// Sampled match nanoseconds per event theme tag, capped at
-    /// [`BrokerConfig::label_cardinality`] series.
-    pub(crate) theme_match_ns: CounterFamily,
-    /// Sampled deliver nanoseconds per event theme tag.
-    pub(crate) theme_deliver_ns: CounterFamily,
-    /// Space-saving sketch of the most expensive index entries
-    /// (by sampled match + deliver nanoseconds).
-    pub(crate) hot_entries: TopKSketch,
-    /// Space-saving sketch of the most expensive theme tags.
-    pub(crate) hot_themes: TopKSketch,
-    /// Space-saving sketch of the most expensive subscribers.
-    pub(crate) hot_subscribers: TopKSketch,
-    /// Global sampled match nanoseconds, reconciled against the match
-    /// stage histograms (sampled × every ≈ histogram sum).
-    pub(crate) match_ns: AtomicU64,
-    /// Global sampled deliver nanoseconds.
-    pub(crate) deliver_ns: AtomicU64,
-    /// Sampled dispatches charged so far.
-    pub(crate) samples: AtomicU64,
-}
-
-impl CostState {
-    fn new(every: u64, cardinality: usize) -> CostState {
-        CostState {
-            every: every.max(1),
-            entries: CostTable::new(),
-            subscribers: CostTable::new(),
-            theme_match_ns: CounterFamily::new(cardinality),
-            theme_deliver_ns: CounterFamily::new(cardinality),
             hot_entries: TopKSketch::new(cardinality.max(16)),
-            hot_themes: TopKSketch::new(cardinality.max(16)),
-            hot_subscribers: TopKSketch::new(cardinality.max(16)),
-            match_ns: AtomicU64::new(0),
-            deliver_ns: AtomicU64::new(0),
-            samples: AtomicU64::new(0),
-        }
+            sampled: AttributionRow::default(),
+        })
     }
 
     /// Whether the dispatch of event `seq` against index entry `uid` is
@@ -316,7 +288,7 @@ impl CostState {
     /// and uncorrelated with publish order.
     #[inline]
     pub(crate) fn should_sample(&self, seq: u64, uid: u64) -> bool {
-        crate::quality::mix(seq, uid).is_multiple_of(self.every)
+        self.every != 0 && crate::quality::mix(seq, uid).is_multiple_of(self.every)
     }
 
     /// Charges one sampled dispatch to its index entry and the global
@@ -327,50 +299,41 @@ impl CostState {
             .charge(u64::from(slot), uid, match_ns, deliver_ns, |label| {
                 self.hot_entries.record_n(label, match_ns + deliver_ns);
             });
-        self.match_ns.fetch_add(match_ns, Ordering::Relaxed);
-        self.deliver_ns.fetch_add(deliver_ns, Ordering::Relaxed);
-        self.samples.fetch_add(1, Ordering::Relaxed);
+        self.sampled.add_sample(match_ns, deliver_ns);
     }
 
-    /// Charges a delivered subscriber its share of a sampled dispatch.
-    pub(crate) fn charge_subscriber(&self, id: u64, match_ns: u64, deliver_ns: u64) {
-        self.subscribers
-            .charge(id, id, match_ns, deliver_ns, |label| {
-                self.hot_subscribers.record_n(label, match_ns + deliver_ns);
-            });
-    }
-
-    /// Charges one of the event's theme tags the full sampled cost (an
-    /// event with two tags charges both, like `match_by_theme`).
-    pub(crate) fn charge_theme(&self, tag: &str, match_ns: u64, deliver_ns: u64) {
-        self.theme_match_ns.add(tag, match_ns);
-        self.theme_deliver_ns.add(tag, deliver_ns);
-        self.hot_themes.record_n(tag, match_ns + deliver_ns);
-    }
-
-    /// The per-theme cost table as sorted [`CostEntry`] rows. Theme rows carry no per-row sample
-    /// count — a dispatch charges every tag of its event — so `samples`
-    /// is 0 on each row.
-    pub(crate) fn theme_entries(&self) -> Vec<CostEntry> {
-        use std::collections::BTreeMap;
-        let mut themes: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for (label, ns) in self.theme_match_ns.snapshot() {
-            themes.entry(label).or_default().0 = ns;
+    /// Charges one event to its theme rows, once per tag: its match
+    /// `tests` and the summed nanoseconds of its sampled dispatches
+    /// (`None` when none was sampled; an untagged event's go to the
+    /// `untagged` row). Feeds the theme and term sketches.
+    pub(crate) fn charge_event(&self, event: &Event, tests: u64, sampled: Option<(u64, u64)>) {
+        let tests = if self.counts { tests } else { 0 };
+        let tags = event.theme_tags();
+        if let (true, Some((match_ns, deliver_ns))) = (tags.is_empty(), sampled) {
+            self.themes
+                .with_row(UNTAGGED, |row| row.add_ns(match_ns, deliver_ns));
         }
-        for (label, ns) in self.theme_deliver_ns.snapshot() {
-            themes.entry(label).or_default().1 = ns;
+        for tag in tags {
+            if tests > 0 || sampled.is_some() {
+                self.themes.with_row(tag.as_str(), |row| {
+                    if tests > 0 {
+                        row.add_count(tests);
+                    }
+                    if let Some((match_ns, deliver_ns)) = sampled {
+                        row.add_ns(match_ns, deliver_ns);
+                    }
+                });
+            }
+            if self.counts {
+                self.hot_themes.record(tag);
+            }
         }
-        let mut rows: Vec<CostEntry> = themes
-            .into_iter()
-            .map(|(label, (match_ns, deliver_ns))| CostEntry {
-                label,
-                match_ns,
-                deliver_ns,
-                samples: 0,
-            })
-            .collect();
-        rows.sort_by(|a, b| b.total_ns().cmp(&a.total_ns()).then(a.label.cmp(&b.label)));
-        rows
+        if self.counts {
+            for tuple in event.tuples() {
+                self.hot_terms.record(tuple.attribute());
+                self.hot_terms.record(tuple.value());
+            }
+        }
     }
 }
 
@@ -380,9 +343,10 @@ impl CostState {
 /// dispatch contributes its full measured cost, so multiplying a sampled
 /// figure by `sample_every` estimates the true total (exact at
 /// `sample_every == 1`). `entries` / `subscribers` / `themes` are sorted
-/// most-expensive first; the `hot_*` lists are the amortized top-k
-/// sketches feeding the flight recorder (approximate, but allocation-free
-/// to maintain).
+/// most-expensive first. `hot_entries` is the amortized top-k sketch
+/// feeding the flight recorder (approximate, but allocation-free to
+/// maintain); `hot_themes` and `hot_subscribers` are the first 16 exact
+/// rows.
 #[derive(Debug, Clone, Default)]
 pub struct CostReport {
     /// Whether cost attribution is on
@@ -405,10 +369,9 @@ pub struct CostReport {
     pub themes: Vec<CostEntry>,
     /// Approximate `(label, sampled ns)` of the most expensive entries.
     pub hot_entries: Vec<(String, u64)>,
-    /// Approximate `(label, sampled ns)` of the most expensive themes.
+    /// `(label, sampled ns)` of the 16 most expensive themes.
     pub hot_themes: Vec<(String, u64)>,
-    /// Approximate `(label, sampled ns)` of the most expensive
-    /// subscribers.
+    /// `(label, sampled ns)` of the 16 most expensive subscribers.
     pub hot_subscribers: Vec<(String, u64)>,
 }
 
@@ -509,12 +472,10 @@ impl Shared {
                 self.stats.accumulate_stage(stage.timer, snap);
             });
         }
-        if let Some(dim) = &self.dim {
-            dim.hot_themes
+        if let Some(attr) = &self.attribution {
+            attr.hot_themes
                 .for_each_top(8, |name, count| w.theme(name, count));
-        }
-        if let Some(cost) = &self.cost {
-            cost.hot_entries
+            attr.hot_entries
                 .for_each_top(8, |name, ns| w.cost(name, ns));
         }
     }
@@ -775,14 +736,10 @@ impl Broker {
             dead_letters: DeadLetterQueue::new(config.dead_letter_capacity),
             explain: BoundedRing::new(config.explain_capacity),
             spans: SpanCollector::new(config.span_capacity, config.span_sample_every),
-            dim: config
-                .labeled_metrics
-                .then(|| DimMetrics::new(config.label_cardinality)),
+            attribution: Attribution::new(&config),
             quality: OnceLock::new(),
             overload: config.overload.clone().map(OverloadController::new),
             recorder,
-            cost: (config.cost_sample_every > 0)
-                .then(|| CostState::new(config.cost_sample_every, config.label_cardinality)),
             started: Instant::now(),
             config,
             ingress: tx,
@@ -870,20 +827,18 @@ impl Broker {
         // Warm the matcher's caches (and pin the subscription's
         // projections) before the subscription can receive traffic.
         (self.shared.hooks.prepare)(&subscription);
-        // Resolve the labeled-counter handle once, here, so deliveries
-        // never pay a label lookup.
-        let notif_counter = self
+        let attribution = self
             .shared
-            .dim
+            .attribution
             .as_ref()
-            .map(|dim| dim.notif_by_sub.handle(&id.to_string()));
+            .map(|attr| attr.subscribers.with_row(&id.0, Arc::clone));
         let registration = Arc::new(Registration {
             subscription,
             sender: tx,
             receiver: keep_receiver.then(|| rx.clone()),
             consecutive_full: AtomicU64::new(0),
             explain: options.explain,
-            notif_counter,
+            attribution,
             breaker: self
                 .shared
                 .overload
@@ -895,13 +850,11 @@ impl Broker {
         // registration is immediately matchable, while the registry entry
         // only backs bookkeeping (counts, queue gauges, reaping).
         let (slot, uid) = self.shared.index.insert(id, &registration);
-        if let Some(cost) = &self.shared.cost {
-            // Preformat the cost labels here so sampled dispatches never
-            // allocate: the table owns the strings, charges borrow them.
-            cost.entries
+        if let Some(attr) = self.shared.attribution.as_ref().filter(|a| a.every > 0) {
+            // Preformat the entry label here so sampled dispatches never
+            // allocate: the table owns the string, charges borrow it.
+            attr.entries
                 .ensure(u64::from(slot), uid, || format!("entry-{slot}"));
-            cost.subscribers
-                .ensure(id.0, id.0, || format!("sub-{}", id.0));
         }
         self.shared.registry.write().insert(id, registration);
         Ok((id, rx))
@@ -1204,21 +1157,41 @@ impl Broker {
     /// every table empty) unless the broker was started with
     /// [`BrokerConfig::with_cost_attribution`].
     pub fn costs(&self) -> CostReport {
-        let Some(cost) = &self.shared.cost else {
+        let Some(attr) = self.shared.attribution.as_ref().filter(|a| a.every > 0) else {
             return CostReport::default();
         };
+        let (rows, overflow) = attr.themes.snapshot();
+        let mut themes: Vec<CostEntry> = rows
+            .into_iter()
+            .chain([(OVERFLOW_LABEL.to_string(), overflow)])
+            .map(|(tag, row)| row.cost_entry(tag))
+            .filter(|row| row.total_ns() > 0)
+            .collect();
+        sort_by_cost(&mut themes);
+        let mut subscribers: Vec<CostEntry> = (attr.subscribers.snapshot().0)
+            .into_iter()
+            .map(|(id, row)| row.cost_entry(format!("sub-{id}")))
+            .collect();
+        sort_by_cost(&mut subscribers);
+        let top = |rows: &[CostEntry]| {
+            rows.iter()
+                .take(16)
+                .map(|row| (row.label.clone(), row.total_ns()))
+                .collect()
+        };
+        let sampled = attr.sampled.read();
         CostReport {
             enabled: true,
-            sample_every: cost.every,
-            samples: cost.samples.load(Ordering::Relaxed),
-            sampled_match_ns: cost.match_ns.load(Ordering::Relaxed),
-            sampled_deliver_ns: cost.deliver_ns.load(Ordering::Relaxed),
-            entries: cost.entries.snapshot(),
-            subscribers: cost.subscribers.snapshot(),
-            themes: cost.theme_entries(),
-            hot_entries: cost.hot_entries.top(16),
-            hot_themes: cost.hot_themes.top(16),
-            hot_subscribers: cost.hot_subscribers.top(16),
+            sample_every: attr.every,
+            samples: sampled.samples,
+            sampled_match_ns: sampled.match_ns,
+            sampled_deliver_ns: sampled.deliver_ns,
+            entries: attr.entries.snapshot(),
+            hot_entries: attr.hot_entries.top(16),
+            hot_themes: top(&themes),
+            hot_subscribers: top(&subscribers),
+            themes,
+            subscribers,
         }
     }
 
@@ -1332,9 +1305,9 @@ impl Broker {
     /// descending. Empty unless [`BrokerConfig::labeled_metrics`] is on.
     pub fn top_themes(&self, k: usize) -> Vec<(String, u64)> {
         self.shared
-            .dim
+            .attribution
             .as_ref()
-            .map(|dim| dim.hot_themes.top(k))
+            .map(|attr| attr.hot_themes.top(k))
             .unwrap_or_default()
     }
 
@@ -1343,9 +1316,9 @@ impl Broker {
     /// [`BrokerConfig::labeled_metrics`] is on.
     pub fn top_terms(&self, k: usize) -> Vec<(String, u64)> {
         self.shared
-            .dim
+            .attribution
             .as_ref()
-            .map(|dim| dim.hot_terms.top(k))
+            .map(|attr| attr.hot_terms.top(k))
             .unwrap_or_default()
     }
 
@@ -1522,13 +1495,15 @@ impl Broker {
         }
     }
 
-    /// Labeled counter families, per-subscriber queue-depth gauges
-    /// (capped at the label cardinality) and top-k tracking gauges;
+    /// The attribution rows' count columns as labeled families (capped
+    /// at the label cardinality, the rest under `_overflow`),
+    /// per-subscriber queue-depth gauges and top-k tracking gauges;
     /// no-ops when [`BrokerConfig::labeled_metrics`] is off.
     fn labeled_metrics(&self, reg: &mut MetricsRegistry, stages: &[(StageRow, HistogramSnapshot)]) {
-        let Some(dim) = &self.shared.dim else {
+        let Some(attr) = self.shared.attribution.as_ref().filter(|a| a.counts) else {
             return;
         };
+        let cap = self.shared.config.label_cardinality;
         let mut depths: Vec<(SubscriptionId, usize)> = self
             .shared
             .registry
@@ -1536,10 +1511,10 @@ impl Broker {
             .iter()
             .map(|(id, r)| (*id, r.sender.len()))
             .collect();
-        // Deterministic export order; the cardinality cap bounds the
-        // series count, mirroring the counter families.
+        // Deterministic export order under the same cap as the
+        // notification series: the lowest ids get a series.
         depths.sort_by_key(|(id, _)| *id);
-        depths.truncate(self.shared.config.label_cardinality);
+        depths.truncate(cap);
         for (id, depth) in depths {
             reg.gauge_with(
                 "tep_subscriber_queue_depth",
@@ -1548,13 +1523,19 @@ impl Broker {
                 depth as f64,
             );
         }
-        for (theme, count) in dim.match_by_theme.snapshot() {
-            reg.counter_with(
-                "tep_theme_match_tests_total",
-                "Match tests attributed to each event theme tag",
-                &[("theme", &theme)],
-                count,
-            );
+        let (themes, overflow) = attr.themes.snapshot();
+        for (theme, row) in themes
+            .into_iter()
+            .chain([(OVERFLOW_LABEL.to_string(), overflow)])
+        {
+            if row.count > 0 {
+                reg.counter_with(
+                    "tep_theme_match_tests_total",
+                    "Match tests attributed to each event theme tag",
+                    &[("theme", &theme)],
+                    row.count,
+                );
+            }
         }
         // Each match stage histogram holds exactly one sample per test,
         // so the temperature family is read from their counts.
@@ -1571,7 +1552,14 @@ impl Broker {
                 );
             }
         }
-        for (subscriber, count) in dim.notif_by_sub.snapshot() {
+        let (subscribers, _) = attr.subscribers.snapshot();
+        let overflowed: u64 = subscribers.iter().skip(cap).map(|(_, row)| row.count).sum();
+        let series = subscribers
+            .iter()
+            .take(cap)
+            .map(|(id, row)| (SubscriptionId(*id).to_string(), row.count))
+            .chain((overflowed > 0).then(|| (OVERFLOW_LABEL.to_string(), overflowed)));
+        for (subscriber, count) in series {
             reg.counter_with(
                 "tep_subscriber_notifications_total",
                 "Notifications admitted per subscriber channel",
@@ -1582,12 +1570,12 @@ impl Broker {
         reg.gauge(
             "tep_topk_themes_tracked",
             "Theme slots occupied in the top-k sketch",
-            dim.hot_themes.tracked() as f64,
+            attr.hot_themes.tracked() as f64,
         )
         .gauge(
             "tep_topk_terms_tracked",
             "Term slots occupied in the top-k sketch",
-            dim.hot_terms.tracked() as f64,
+            attr.hot_terms.tracked() as f64,
         );
     }
 
@@ -1629,67 +1617,36 @@ impl Broker {
         );
     }
 
-    /// Sampled cost-attribution series; no-ops when cost attribution is
-    /// off ([`BrokerConfig::with_cost_attribution`]).
+    /// The attribution rows' nanosecond columns summed per entity
+    /// class; no-ops when cost attribution is off
+    /// ([`BrokerConfig::with_cost_attribution`]).
     fn cost_metrics(&self, reg: &mut MetricsRegistry) {
-        let Some(cost) = &self.shared.cost else {
+        let Some(attr) = self.shared.attribution.as_ref().filter(|a| a.every > 0) else {
             return;
         };
-        const HELP: &str = "Sampled cost nanoseconds charged, by entity class and stage kind";
-        let entries = cost.entries.totals();
-        let subscribers = cost.subscribers.totals();
-        let theme_match: u64 = cost.theme_match_ns.snapshot().iter().map(|(_, n)| *n).sum();
-        let theme_deliver: u64 = cost
-            .theme_deliver_ns
-            .snapshot()
-            .iter()
-            .map(|(_, n)| *n)
-            .sum();
-        reg.counter_with(
-            "tep_cost_ns_total",
-            HELP,
-            &[("entity", "entry"), ("kind", "match")],
-            entries.match_ns,
-        )
-        .counter_with(
-            "tep_cost_ns_total",
-            HELP,
-            &[("entity", "entry"), ("kind", "deliver")],
-            entries.deliver_ns,
-        )
-        .counter_with(
-            "tep_cost_ns_total",
-            HELP,
-            &[("entity", "subscriber"), ("kind", "match")],
-            subscribers.match_ns,
-        )
-        .counter_with(
-            "tep_cost_ns_total",
-            HELP,
-            &[("entity", "subscriber"), ("kind", "deliver")],
-            subscribers.deliver_ns,
-        )
-        .counter_with(
-            "tep_cost_ns_total",
-            HELP,
-            &[("entity", "theme"), ("kind", "match")],
-            theme_match,
-        )
-        .counter_with(
-            "tep_cost_ns_total",
-            HELP,
-            &[("entity", "theme"), ("kind", "deliver")],
-            theme_deliver,
-        )
-        .counter(
+        for (entity, totals) in [
+            ("entry", attr.entries.totals()),
+            ("subscriber", attr.subscribers.totals()),
+            ("theme", attr.themes.totals()),
+        ] {
+            for (kind, ns) in [("match", totals.match_ns), ("deliver", totals.deliver_ns)] {
+                reg.counter_with(
+                    "tep_cost_ns_total",
+                    "Sampled cost nanoseconds charged, by entity class and stage kind",
+                    &[("entity", entity), ("kind", kind)],
+                    ns,
+                );
+            }
+        }
+        reg.counter(
             "tep_cost_samples_total",
             "Dispatches charged by the cost sampler",
-            cost.samples.load(Ordering::Relaxed),
+            attr.sampled.read().samples,
         )
         .gauge(
             "tep_cost_sample_every",
             "Cost-attribution 1-in-k sampling rate",
-            cost.every as f64,
+            attr.every as f64,
         );
     }
 
@@ -2836,23 +2793,36 @@ mod tests {
         b.shutdown();
     }
 
+    /// The value of the exported sample line `series` (name plus
+    /// labels), if present.
+    fn sample(prom: &str, series: &str) -> Option<u64> {
+        prom.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+            .map(|value| value.parse().expect("integer sample"))
+    }
+
     #[test]
     fn cost_attribution_reconciles_exactly_at_k_one() {
         let b = Broker::start(
             Arc::new(ExactMatcher::new()),
             BrokerConfig::default()
                 .with_workers(2)
+                .with_labeled_metrics(true)
                 .with_cost_attribution(1),
         );
         let (_, rx) = b.subscribe(parse_subscription("{k= v}").unwrap()).unwrap();
         let (_, _other) = b
             .subscribe(parse_subscription("{other= thing}").unwrap())
             .unwrap();
-        for _ in 0..32 {
-            b.publish(parse_event("{k: v}").unwrap()).unwrap();
+        for i in 0..32 {
+            let tag = if i % 2 == 0 { "power" } else { "grid" };
+            let event = format!("({{{tag}}}, {{k: v}})");
+            b.publish(parse_event(&event).unwrap()).unwrap();
         }
         b.flush().unwrap();
         assert_eq!(rx.try_iter().count(), 32);
+        let stats = b.stats();
+        assert_eq!(stats.dropped_full + stats.dropped_disconnected, 0);
         let report = b.costs();
         assert!(report.enabled);
         assert_eq!(report.sample_every, 1);
@@ -2879,9 +2849,31 @@ mod tests {
             .subscribers
             .iter()
             .all(|e| e.label.starts_with("sub-")));
-        // Untagged events still land in the per-theme table.
-        assert!(report.themes.iter().any(|t| t.label == "untagged"));
         assert!(!report.hot_entries.is_empty());
+        // The labeled counts and the cost columns describe the same
+        // dispatches. Every delivery to a drained subscriber is one
+        // sample and one admitted notification.
+        let prom = b.metrics().render_prometheus();
+        for row in &report.subscribers {
+            let id = row.label.strip_prefix("sub-").expect("subscriber label");
+            let series = format!("tep_subscriber_notifications_total{{subscriber=\"s{id}\"}}");
+            assert_eq!(sample(&prom, &series), Some(row.samples), "{series}");
+        }
+        // Each event carries one tag, so the theme rows split the entry
+        // totals without double counting, and the per-theme test counts
+        // sum to the bare counter.
+        let theme_match: u64 = report.themes.iter().map(|t| t.match_ns).sum();
+        let theme_deliver: u64 = report.themes.iter().map(|t| t.deliver_ns).sum();
+        assert_eq!(theme_match, entry_match);
+        assert_eq!(theme_deliver, entry_deliver);
+        let theme_tests: u64 = ["power", "grid"]
+            .iter()
+            .map(|tag| {
+                let series = format!("tep_theme_match_tests_total{{theme=\"{tag}\"}}");
+                sample(&prom, &series).unwrap_or(0)
+            })
+            .sum();
+        assert_eq!(theme_tests, b.stats().match_tests);
         // JSON and Prometheus surfaces agree it is on.
         let json = b.costs_json();
         assert!(json.contains("\"enabled\": true"));
@@ -2895,11 +2887,68 @@ mod tests {
             .and_then(|row| row.get("label"))
             .and_then(JsonValue::as_str);
         assert!(label.is_some_and(|l| l.starts_with("entry-")), "{json}");
-        let prom = b.metrics().render_prometheus();
         assert!(prom.contains("tep_cost_ns_total"));
         assert!(prom.contains("entity=\"entry\""));
         assert!(prom.contains("tep_cost_samples_total"));
         assert!(prom.contains("tep_cost_sample_every 1"));
+        // Untagged events land in the per-theme cost table but add no
+        // labeled test series.
+        b.publish(parse_event("{k: v}").unwrap()).unwrap();
+        b.flush().unwrap();
+        assert!(b.costs().themes.iter().any(|t| t.label == "untagged"));
+        let prom = b.metrics().render_prometheus();
+        assert!(!prom.contains("tep_theme_match_tests_total{theme=\"untagged\"}"));
+        b.shutdown();
+    }
+
+    #[test]
+    fn entry_cost_totals_stay_monotone_across_slot_recycling() {
+        let b = Broker::start(
+            Arc::new(ExactMatcher::new()),
+            BrokerConfig::default()
+                .with_workers(1)
+                .with_cost_attribution(1),
+        );
+        // The exported entry totals, checked against the global sampled
+        // totals they must equal at k = 1.
+        let entry_totals = || {
+            let prom = b.metrics().render_prometheus();
+            let read = |kind: &str| {
+                let series = format!("tep_cost_ns_total{{entity=\"entry\",kind=\"{kind}\"}}");
+                sample(&prom, &series).expect("entry series")
+            };
+            let totals = (read("match"), read("deliver"));
+            let report = b.costs();
+            assert_eq!(totals, (report.sampled_match_ns, report.sampled_deliver_ns));
+            totals
+        };
+        let publish = |event: &str| {
+            for _ in 0..8 {
+                b.publish(parse_event(event).unwrap()).unwrap();
+            }
+            b.flush().unwrap();
+        };
+        let (id, rx) = b.subscribe(parse_subscription("{k= v}").unwrap()).unwrap();
+        publish("{k: v}");
+        let first = entry_totals();
+        assert!(first.0 > 0 && first.1 > 0, "tested and delivered");
+        let labels = |b: &Broker| -> Vec<String> {
+            b.costs().entries.into_iter().map(|e| e.label).collect()
+        };
+        let first_labels = labels(&b);
+        assert!(b.unsubscribe(id));
+        drop(rx);
+        // A different subscription takes the freed slot.
+        let (_, rx) = b.subscribe(parse_subscription("{k= w}").unwrap()).unwrap();
+        assert_eq!(labels(&b), first_labels, "the slot was recycled");
+        assert_eq!(entry_totals(), first, "recycling keeps the totals");
+        publish("{k: w}");
+        let last = entry_totals();
+        assert!(
+            last.0 > first.0 && last.1 > first.1,
+            "{last:?} after {first:?}"
+        );
+        assert_eq!(rx.try_iter().count(), 8);
         b.shutdown();
     }
 

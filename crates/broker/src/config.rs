@@ -180,16 +180,22 @@ pub struct BrokerConfig {
     /// `span_capacity` [`crate::SpanRecord`]s across all sampled events.
     #[serde(default = "default_span_capacity")]
     pub span_capacity: usize,
-    /// Whether the broker keeps dimensional (labeled) metrics: per-theme
-    /// and per-temperature match counters, per-subscriber notification
-    /// counters, and the top-k hottest-theme/term sketches behind
-    /// [`crate::Broker::top_themes`]. `false` (the default) keeps the
-    /// hot path at one branch per stage.
+    /// Whether the broker writes the count column of its attribution
+    /// rows: match tests per event theme tag and admitted notifications
+    /// per subscriber, exported as labeled families next to the
+    /// per-temperature match counters, plus the top-k hottest-theme/term
+    /// sketches behind [`crate::Broker::top_themes`]. The rows are the
+    /// ones cost attribution ([`BrokerConfig::cost_sample_every`])
+    /// charges nanoseconds to; each switch writes only its own columns.
+    /// `false` (the default), with cost attribution off too, keeps the
+    /// dispatch path at one branch.
     #[serde(default)]
     pub labeled_metrics: bool,
-    /// Hard cap on distinct label values per labeled metric family;
-    /// increments past the cap land in the `_overflow` series so total
-    /// counts stay exact while cardinality stays bounded.
+    /// Hard cap on distinct label values per labeled metric family:
+    /// theme tags past the cap share the `_overflow` row, and
+    /// subscribers past the lowest `label_cardinality` ids export under
+    /// the `_overflow` series, so total counts stay exact while
+    /// cardinality stays bounded.
     #[serde(default = "default_label_cardinality")]
     pub label_cardinality: usize,
     /// Adaptive overload control ([`crate::LoadState`] machine, deadline /
@@ -208,9 +214,11 @@ pub struct BrokerConfig {
     /// Deterministic 1-in-k cost attribution: every sampled dispatch
     /// (hashed from event sequence and index-entry id, like the quality
     /// sampler) charges its measured match/deliver nanoseconds to the
-    /// owning subscription-index entry, its themes, and its subscribers
-    /// ([`crate::Broker::costs`]). `0` (the default) disables the whole
-    /// subsystem — the dispatch path then pays one branch for it.
+    /// nanosecond columns of the owning subscription-index entry's row,
+    /// its delivered subscribers' rows and, once per event, its theme
+    /// rows ([`crate::Broker::costs`]). `0` (the default) writes no
+    /// nanosecond column; with [`BrokerConfig::labeled_metrics`] off
+    /// too, the dispatch path pays one branch for attribution.
     #[serde(default)]
     pub cost_sample_every: u64,
 }

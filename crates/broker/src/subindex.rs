@@ -892,7 +892,7 @@ mod tests {
             receiver: Some(receiver),
             consecutive_full: AtomicU64::new(0),
             explain: false,
-            notif_counter: None,
+            attribution: None,
             breaker: None,
         })
     }

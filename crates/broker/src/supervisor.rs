@@ -18,7 +18,7 @@
 //! is eventually counted in `processed` (delivered, dropped, or
 //! quarantined), so [`crate::Broker::flush_timeout`] terminates.
 
-use crate::broker::{CostState, Registration, Shared, SubscriptionId};
+use crate::broker::{Attribution, Registration, Shared, SubscriptionId};
 use crate::config::{RoutingPolicy, SubscriberPolicy};
 use crate::explain::{CacheTemperature, MatchExplanation, MatchOutcome};
 use crate::notification::Notification;
@@ -433,8 +433,12 @@ struct FanOut<'a, M: ?Sized> {
     covering: bool,
     explain_ring: bool,
     quality: Option<&'a QualityState>,
+    attribution: Option<&'a Attribution>,
     /// Match test attempts run for this event.
     tests: u64,
+    /// Summed match and deliver nanoseconds of the event's sampled
+    /// dispatches; `None` until one is sampled.
+    sampled_ns: Option<(u64, u64)>,
     /// Attempt budget burned by an entry whose every attempt panicked.
     exhausted: u32,
     /// Subscribers the overload policy flagged for reaping.
@@ -470,8 +474,8 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
     }
 
     /// The one tail every verdict runs through: the match span, the
-    /// covering bookkeeping, [`FanOut::fan_out`] and
-    /// [`flush_entry_cost`], each at most once. Observers see every
+    /// covering bookkeeping, [`FanOut::fan_out`] and the entry's cost
+    /// charge, each at most once. Observers see every
     /// candidate pair, so with any installed a non-delivering entry's
     /// fan-out is walked too; that never changes what is tested.
     fn settle(&mut self, entry: &IndexEntry, verdict: Verdict, sweep: &mut Sweep<'_>) {
@@ -509,13 +513,11 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
         // span the stage histogram records, so k=1 attribution
         // reconciles exactly.
         let cost = self
-            .shared
-            .cost
-            .as_ref()
-            .filter(|c| {
-                !matches!(verdict, Verdict::Pruned) && c.should_sample(self.job.seq, entry.uid())
+            .attribution
+            .filter(|a| {
+                !matches!(verdict, Verdict::Pruned) && a.should_sample(self.job.seq, entry.uid())
             })
-            .map(|c| (c, run.map_or(0, |r| nanos_between(r.start, r.end))));
+            .map(|_| run.map_or(0, |r| nanos_between(r.start, r.end)));
         let match_span = self.match_span(entry, result, run);
         let mut deliver_ns = 0;
         if delivering || self.explain_ring || self.quality.is_some() {
@@ -540,8 +542,11 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
             let verdict = verdict.as_ref().map_err(String::as_str);
             deliver_ns = self.fan_out(entry, verdict, temperature, start, match_span, cost);
         }
-        if let Some((cost, match_ns)) = cost {
-            flush_entry_cost(cost, entry, self.job, match_ns, deliver_ns);
+        // The event's theme rows are charged once, in `finish`.
+        if let (Some(attr), Some(match_ns)) = (self.attribution, cost) {
+            attr.charge_entry(entry.slot(), entry.uid(), match_ns, deliver_ns);
+            let (sum_match, sum_deliver) = self.sampled_ns.unwrap_or_default();
+            self.sampled_ns = Some((sum_match + match_ns, sum_deliver + deliver_ns));
         }
     }
 
@@ -584,13 +589,16 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
     /// (`FanoutMember::result_for`: members in the representative's order
     /// share the verdict's `Arc`) and hands the member's result to the
     /// observers — quality sampler, explain ring, per-subscriber
-    /// explanation, cost, spans — and, above the threshold, to
+    /// explanation, attribution, spans — and, above the threshold, to
     /// [`deliver`]. `verdict` is the entry's result (a tested hit, a twin
     /// hit, or a covering prune's no-match), or the panic reason when
     /// every attempt panicked. Deliver spans are chained from `start`:
     /// each member's span starts where the previous member's ended.
     /// `cost` carries the sampled entry's match nanoseconds, split evenly
-    /// across the fan-out. Returns the summed deliver nanoseconds.
+    /// across the fan-out. A delivering member's attribution row counts
+    /// an admitted notification when labeled metrics are on, and takes
+    /// its share of a sampled dispatch. Returns the summed deliver
+    /// nanoseconds.
     fn fan_out(
         &mut self,
         entry: &IndexEntry,
@@ -598,7 +606,7 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
         temperature: CacheTemperature,
         mut start: Instant,
         match_span: Option<u64>,
-        cost: Option<(&CostState, u64)>,
+        cost: Option<u64>,
     ) -> u64 {
         let (shared, matcher, job) = (self.shared, self.matcher, self.job);
         let (score, mapped, delivering) = match verdict {
@@ -621,7 +629,7 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
             detail,
         };
         let fan = entry.fanout();
-        let match_share = cost.map_or(0, |(_, ns)| ns / fan.len().max(1) as u64);
+        let match_share = cost.map_or(0, |ns| ns / fan.len().max(1) as u64);
         let mut deliver_total = 0u64;
         for member in fan.iter() {
             let (id, reg) = (member.id, &*member.reg);
@@ -683,8 +691,13 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
             let deliver_ns = nanos_between(start, end);
             self.shard.stage.deliver.record_nanos(deliver_ns);
             deliver_total += deliver_ns;
-            if let Some((cost, _)) = cost {
-                cost.charge_subscriber(id.0, match_share, deliver_ns);
+            if let Some(row) = &reg.attribution {
+                if admitted && self.attribution.is_some_and(|a| a.counts) {
+                    row.add_count(1);
+                }
+                if cost.is_some() {
+                    row.add_sample(match_share, deliver_ns);
+                }
             }
             if let Some(parent) = match_span {
                 shared.spans.record_new(
@@ -709,8 +722,8 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
         deliver_total
     }
 
-    /// Ends the sweep: reaps the subscribers delivery flagged, records
-    /// the event's labeled families, and reports how the event ended.
+    /// Ends the sweep: reaps the subscribers delivery flagged, charges
+    /// the event's theme rows, and reports how the event ended.
     fn finish(self) -> EventOutcome {
         let (shared, job) = (self.shared, self.job);
         for id in self.dead {
@@ -721,20 +734,8 @@ impl<M: Matcher + ?Sized> FanOut<'_, M> {
                     .fetch_add(1, Ordering::Relaxed);
             }
         }
-        // Labeled families and top-k sketches, one pass per event: theme
-        // attribution and term frequencies. Disabled cost is the single
-        // branch on `dim`.
-        if let Some(dim) = &shared.dim {
-            for tag in job.event.theme_tags() {
-                if self.tests > 0 {
-                    dim.match_by_theme.add(tag, self.tests);
-                }
-                dim.hot_themes.record(tag);
-            }
-            for tuple in job.event.tuples() {
-                dim.hot_terms.record(tuple.attribute());
-                dim.hot_terms.record(tuple.value());
-            }
+        if let Some(attr) = self.attribution {
+            attr.charge_event(&job.event, self.tests, self.sampled_ns);
         }
         match self.exhausted {
             0 => EventOutcome::Processed,
@@ -870,7 +871,9 @@ fn process_event<M>(
                 covering: matcher.covering_safe(),
                 explain_ring: shared.explain.is_enabled(),
                 quality: shared.quality.get().map(Arc::as_ref),
+                attribution: shared.attribution.as_ref(),
                 tests: 0,
+                sampled_ns: None,
                 exhausted: 0,
                 dead: Vec::new(),
             };
@@ -1012,32 +1015,6 @@ fn tally(
     }
 }
 
-/// Flushes one sampled dispatch's measured nanoseconds into the cost
-/// tables: the owning index entry (exact, uid-stamped against slot
-/// recycling), each of the event's theme tags (the full cost, mirroring
-/// `match_by_theme` semantics), and the global sampled totals the
-/// reconciliation invariant checks. Subscriber shares were already
-/// charged in [`FanOut::fan_out`], where per-member timings exist.
-/// Allocation-free in steady state: labels were preformatted at
-/// subscribe time and theme counters hit the family's read path.
-fn flush_entry_cost(
-    cost: &CostState,
-    entry: &IndexEntry,
-    job: &Job,
-    match_ns: u64,
-    deliver_ns: u64,
-) {
-    cost.charge_entry(entry.slot(), entry.uid(), match_ns, deliver_ns);
-    let mut tagged = false;
-    for tag in job.event.theme_tags() {
-        tagged = true;
-        cost.charge_theme(tag, match_ns, deliver_ns);
-    }
-    if !tagged {
-        cost.charge_theme("untagged", match_ns, deliver_ns);
-    }
-}
-
 /// Sends one notification under the configured subscriber overload
 /// policy, recording drop reasons and flagging registrations to reap.
 /// Returns whether the notification was admitted to the channel.
@@ -1093,9 +1070,6 @@ fn deliver(
     };
     if admitted {
         shard.notifications.fetch_add(1, Ordering::Relaxed);
-        if let Some(counter) = &reg.notif_counter {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
         // Load first: the field shares a cache line with `sender`, which
         // every worker reads, so an unconditional store would bounce the
         // line on every admitted notification.

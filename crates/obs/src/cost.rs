@@ -1,26 +1,29 @@
-//! Sharded exact cost-attribution table for sampled dispatch charging.
+//! Attribution rows and the sharded, slot-keyed cost table.
 //!
-//! The broker's cost-attribution subsystem charges a deterministic
-//! 1-in-k sample of dispatches to the entities that caused the work:
-//! subscription-index entries, themes, and subscribers. Heavy hitters
-//! go through [`crate::topk::TopKSketch`]; this module supplies the
-//! complement — **exact** per-entity nanosecond totals in a sharded,
-//! slot-indexed table that the hot path can charge without allocating.
+//! The broker attributes dispatch work to three kinds of key:
+//! subscription-index entries, event themes and subscribers. Every key
+//! gets one [`AttributionRow`]: a count column (labeled metrics) and
+//! sampled-nanosecond columns (cost attribution), all relaxed atomics,
+//! so a charge never locks the row or allocates. Themes and
+//! subscribers keep their rows in [`crate::LabeledRows`]; this module
+//! supplies the rows themselves and the table for index entries.
 //!
-//! Layout: entities are keyed by a dense `u64` index (the subscription
-//! index's entry slot, or a subscriber id). The index picks a shard
+//! Layout of [`CostTable`]: entries are keyed by a dense `u64` index
+//! (the subscription index's entry slot). The index picks a shard
 //! (`index % SHARDS`) and a row within it (`index / SHARDS`); each
-//! shard is a `RwLock<Vec<CostCell>>` whose cells hold relaxed atomics
-//! plus a label preformatted at registration time. The charge path
-//! takes the shard **read** lock and does three `fetch_add`s — writers
-//! (registration, growth) are rare and confined to subscribe time, so
-//! readers essentially never block and never allocate.
+//! shard is a `RwLock` over cells that hold a row plus a label
+//! preformatted at registration time. The charge path takes the shard
+//! **read** lock and adds to the row — writers (registration, growth)
+//! are rare and confined to subscribe time, so readers essentially
+//! never block and never allocate.
 //!
 //! Slots can be recycled (the subscription index free-lists entry
 //! slots on unsubscribe), so every cell is stamped with the owning
 //! entity's unique id (`uid`). A charge whose uid does not match the
 //! cell's stamp is a charge against a departed entity racing a reuse;
-//! it is dropped rather than misattributed.
+//! it is dropped rather than misattributed. A new owner starts from a
+//! zeroed row, and the old owner's totals move into the shard's
+//! retired sums, so [`CostTable::totals`] never decreases.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,25 +32,76 @@ use std::sync::RwLock;
 /// Shard count; a power of two so `index % SHARDS` is a mask.
 const SHARDS: usize = 8;
 
-/// One entity's cost cell. `stamp` is the owner's uid plus one, so
-/// zero means "vacant" without reserving a uid value.
-#[derive(Debug)]
-struct CostCell {
-    stamp: AtomicU64,
+/// One attributed key's columns; see the module docs. Each column is
+/// written only by the switch that owns it: `count` by labeled
+/// metrics, the nanosecond columns and `samples` by cost attribution.
+#[derive(Debug, Default)]
+pub struct AttributionRow {
+    count: AtomicU64,
     match_ns: AtomicU64,
     deliver_ns: AtomicU64,
     samples: AtomicU64,
-    label: String,
 }
 
-impl CostCell {
-    fn vacant() -> CostCell {
-        CostCell {
-            stamp: AtomicU64::new(0),
-            match_ns: AtomicU64::new(0),
-            deliver_ns: AtomicU64::new(0),
-            samples: AtomicU64::new(0),
-            label: String::new(),
+impl AttributionRow {
+    /// Adds `n` to the count column.
+    pub fn add_count(&self, n: u64) {
+        self.count.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds sampled nanoseconds without counting a sample (a theme row
+    /// is charged once per event, for all of its sampled dispatches).
+    pub fn add_ns(&self, match_ns: u64, deliver_ns: u64) {
+        self.match_ns.fetch_add(match_ns, Ordering::Relaxed);
+        self.deliver_ns.fetch_add(deliver_ns, Ordering::Relaxed);
+    }
+
+    /// Charges one sampled dispatch.
+    pub fn add_sample(&self, match_ns: u64, deliver_ns: u64) {
+        self.add_ns(match_ns, deliver_ns);
+        self.samples.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The row's current column values.
+    pub fn read(&self) -> RowTotals {
+        RowTotals {
+            count: self.count.load(Ordering::Relaxed),
+            match_ns: self.match_ns.load(Ordering::Relaxed),
+            deliver_ns: self.deliver_ns.load(Ordering::Relaxed),
+            samples: self.samples.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Column values of one row, or sums over many.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowTotals {
+    /// The count column (match tests or notifications).
+    pub count: u64,
+    /// Sampled match nanoseconds.
+    pub match_ns: u64,
+    /// Sampled deliver nanoseconds.
+    pub deliver_ns: u64,
+    /// Sampled dispatches.
+    pub samples: u64,
+}
+
+impl RowTotals {
+    /// Adds `other` column by column.
+    pub fn add(&mut self, other: RowTotals) {
+        self.count += other.count;
+        self.match_ns += other.match_ns;
+        self.deliver_ns += other.deliver_ns;
+        self.samples += other.samples;
+    }
+
+    /// The cost columns under `label`, as reported by `/costs`.
+    pub fn cost_entry(self, label: String) -> CostEntry {
+        CostEntry {
+            label,
+            match_ns: self.match_ns,
+            deliver_ns: self.deliver_ns,
+            samples: self.samples,
         }
     }
 }
@@ -72,37 +126,35 @@ impl CostEntry {
     }
 }
 
-/// Whole-table totals (sums over every live cell).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CostTotals {
-    /// Sampled match nanoseconds across all entities.
-    pub match_ns: u64,
-    /// Sampled deliver nanoseconds across all entities.
-    pub deliver_ns: u64,
-    /// Sampled dispatches across all entities.
-    pub samples: u64,
+/// One entry's cell. `stamp` is the owner's uid plus one, so zero means
+/// "vacant" without reserving a uid value.
+#[derive(Debug, Default)]
+struct CostCell {
+    stamp: AtomicU64,
+    row: AttributionRow,
+    label: String,
+}
+
+/// One shard: its cells and the totals of owners whose slots were
+/// recycled, both changed together under the shard's write lock.
+#[derive(Debug, Default)]
+struct Shard {
+    cells: Vec<CostCell>,
+    retired: RowTotals,
 }
 
 /// The sharded exact-totals table; see the module docs.
 ///
 /// Shareable by reference across threads; all methods take `&self`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CostTable {
-    shards: [RwLock<Vec<CostCell>>; SHARDS],
-}
-
-impl Default for CostTable {
-    fn default() -> Self {
-        CostTable::new()
-    }
+    shards: [RwLock<Shard>; SHARDS],
 }
 
 impl CostTable {
     /// An empty table. Shards grow on demand in [`CostTable::ensure`].
     pub fn new() -> CostTable {
-        CostTable {
-            shards: std::array::from_fn(|_| RwLock::new(Vec::new())),
-        }
+        CostTable::default()
     }
 
     fn locate(index: u64) -> (usize, usize) {
@@ -111,30 +163,30 @@ impl CostTable {
 
     /// Registers (or re-registers) the entity at `index` with unique id
     /// `uid`, labelling its cell with `label()`. Called at subscribe
-    /// time — takes the shard write lock, may grow the shard, and
-    /// resets the counters when the slot changed owners. Idempotent
+    /// time — takes the shard write lock and may grow the shard. When
+    /// the slot changes owners, the old owner's totals move to the
+    /// shard's retired sums and the row restarts from zero. Idempotent
     /// for an unchanged owner: counters are preserved.
     pub fn ensure(&self, index: u64, uid: u64, label: impl FnOnce() -> String) {
         let (shard, row) = Self::locate(index);
-        let mut cells = self.shards[shard]
+        let mut shard = self.shards[shard]
             .write()
             .unwrap_or_else(|e| e.into_inner());
-        if cells.len() <= row {
-            cells.resize_with(row + 1, CostCell::vacant);
+        if shard.cells.len() <= row {
+            shard.cells.resize_with(row + 1, CostCell::default);
         }
-        let cell = &mut cells[row];
         let stamp = uid.wrapping_add(1).max(1);
+        let cell = &mut shard.cells[row];
         if cell.stamp.load(Ordering::Relaxed) == stamp {
             return;
         }
+        let replaced = std::mem::take(&mut cell.row).read();
         cell.stamp.store(stamp, Ordering::Relaxed);
-        cell.match_ns.store(0, Ordering::Relaxed);
-        cell.deliver_ns.store(0, Ordering::Relaxed);
-        cell.samples.store(0, Ordering::Relaxed);
         cell.label = label();
+        shard.retired.add(replaced);
     }
 
-    /// Charges sampled nanoseconds to the entity at `index`, provided
+    /// Charges one sampled dispatch to the entity at `index`, provided
     /// the cell is still stamped with `uid` (a mismatch means the slot
     /// was recycled and the charge is dropped). On success, calls
     /// `with_label` with the registered label borrowed under the shard
@@ -150,54 +202,30 @@ impl CostTable {
         with_label: impl FnOnce(&str),
     ) -> bool {
         let (shard, row) = Self::locate(index);
-        let cells = self.shards[shard].read().unwrap_or_else(|e| e.into_inner());
-        let Some(cell) = cells.get(row) else {
+        let shard = self.shards[shard].read().unwrap_or_else(|e| e.into_inner());
+        let Some(cell) = shard.cells.get(row) else {
             return false;
         };
         if cell.stamp.load(Ordering::Relaxed) != uid.wrapping_add(1).max(1) {
             return false;
         }
-        cell.match_ns.fetch_add(match_ns, Ordering::Relaxed);
-        cell.deliver_ns.fetch_add(deliver_ns, Ordering::Relaxed);
-        cell.samples.fetch_add(1, Ordering::Relaxed);
+        cell.row.add_sample(match_ns, deliver_ns);
         with_label(&cell.label);
         true
     }
 
-    /// Sums over every live cell.
-    pub fn totals(&self) -> CostTotals {
-        let mut out = CostTotals::default();
+    /// Sums over every cell and every retired owner: monotone across
+    /// slot recycling.
+    pub fn totals(&self) -> RowTotals {
+        let mut out = RowTotals::default();
         for shard in &self.shards {
-            let cells = shard.read().unwrap_or_else(|e| e.into_inner());
-            for cell in cells.iter() {
-                if cell.stamp.load(Ordering::Relaxed) == 0 {
-                    continue;
-                }
-                out.match_ns += cell.match_ns.load(Ordering::Relaxed);
-                out.deliver_ns += cell.deliver_ns.load(Ordering::Relaxed);
-                out.samples += cell.samples.load(Ordering::Relaxed);
+            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
+            out.add(shard.retired);
+            for cell in &shard.cells {
+                out.add(cell.row.read());
             }
         }
         out
-    }
-
-    /// Live entities currently registered.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let cells = shard.read().unwrap_or_else(|e| e.into_inner());
-                cells
-                    .iter()
-                    .filter(|c| c.stamp.load(Ordering::Relaxed) != 0)
-                    .count()
-            })
-            .sum()
-    }
-
-    /// Whether no entity is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Every live entity's totals, most expensive (match + deliver)
@@ -206,26 +234,25 @@ impl CostTable {
     pub fn snapshot(&self) -> Vec<CostEntry> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let cells = shard.read().unwrap_or_else(|e| e.into_inner());
-            for cell in cells.iter() {
-                if cell.stamp.load(Ordering::Relaxed) == 0 {
-                    continue;
+            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
+            for cell in &shard.cells {
+                if cell.stamp.load(Ordering::Relaxed) != 0 {
+                    out.push(cell.row.read().cost_entry(cell.label.clone()));
                 }
-                out.push(CostEntry {
-                    label: cell.label.clone(),
-                    match_ns: cell.match_ns.load(Ordering::Relaxed),
-                    deliver_ns: cell.deliver_ns.load(Ordering::Relaxed),
-                    samples: cell.samples.load(Ordering::Relaxed),
-                });
             }
         }
-        out.sort_by(|a, b| {
-            b.total_ns()
-                .cmp(&a.total_ns())
-                .then_with(|| a.label.cmp(&b.label))
-        });
+        sort_by_cost(&mut out);
         out
     }
+}
+
+/// Sorts rows most expensive (match + deliver) first, ties by label.
+pub fn sort_by_cost(rows: &mut [CostEntry]) {
+    rows.sort_by(|a, b| {
+        b.total_ns()
+            .cmp(&a.total_ns())
+            .then_with(|| a.label.cmp(&b.label))
+    });
 }
 
 #[cfg(test)]
@@ -265,7 +292,7 @@ mod tests {
         assert_eq!(totals.match_ns, 115);
         assert_eq!(totals.deliver_ns, 320);
         assert_eq!(totals.samples, 3);
-        assert_eq!(table.len(), 2);
+        assert_eq!(totals.count, 0, "entry rows carry no count");
     }
 
     #[test]
@@ -282,18 +309,26 @@ mod tests {
         let table = CostTable::new();
         // Never registered: no charge, no panic.
         assert!(!table.charge(42, 1, 10, 10, |_| panic!("no label")));
+        assert_eq!(table.totals(), RowTotals::default());
         // Registered, then recycled under a new uid: the stale charge
-        // is dropped and the counters restart from zero.
+        // is dropped and the row restarts from zero, while the table
+        // totals keep the departed owner's charges.
         table.ensure(1, 5, || "entry-1".into());
         table.charge(1, 5, 100, 100, |_| {});
+        let before = table.totals();
         table.ensure(1, 6, || "entry-1b".into());
+        assert_eq!(table.totals(), before, "recycling keeps the totals");
         assert!(!table.charge(1, 5, 7, 7, |_| panic!("stale uid")));
+        assert_eq!(table.totals(), before, "a dropped charge adds nothing");
         assert!(table.charge(1, 6, 3, 4, |_| {}));
         let snap = table.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].label, "entry-1b");
         assert_eq!(snap[0].match_ns, 3);
         assert_eq!(snap[0].deliver_ns, 4);
+        let totals = table.totals();
+        assert_eq!((totals.match_ns, totals.deliver_ns), (103, 104));
+        assert_eq!(totals.samples, 2);
     }
 
     #[test]

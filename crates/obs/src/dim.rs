@@ -1,111 +1,97 @@
-//! Labeled counter families with a hard cardinality cap.
+//! Keyed attribution rows with a hard cardinality cap.
 //!
-//! A dimensional metric (per-theme, per-subscriber, per-temperature) is
-//! a map from a label value to a counter. Unbounded label values are
-//! the classic way to melt a metrics backend, so a [`CounterFamily`]
-//! admits at most `cap` distinct series; every increment beyond that
-//! lands in a shared **overflow** series (exported under the
-//! [`OVERFLOW_LABEL`] value) — total counts stay exact, only the
-//! per-value breakdown saturates.
+//! A dimensional metric (per-theme, per-subscriber) maps a key to an
+//! [`AttributionRow`]. Unbounded key sets are the classic way to melt a
+//! metrics backend, so [`LabeledRows`] admits at most `cap` distinct
+//! keys; every charge beyond that lands in a shared **overflow** row
+//! (exported under the [`OVERFLOW_LABEL`] value) — totals stay exact,
+//! only the per-key breakdown saturates.
 //!
-//! The hot path holds an [`Arc<AtomicU64>`] handle resolved once (e.g.
-//! at subscribe time) and pays one relaxed `fetch_add` per increment;
-//! resolving a new label value takes a short write lock, which is rare
-//! by construction (label sets are small and stable).
+//! The hot path either holds an `Arc<AttributionRow>` resolved once
+//! (a subscriber's row, at subscribe time) or charges a row under the
+//! map's read lock without cloning it (a theme's row, once per event);
+//! admitting a new key takes a short write lock, which is rare by
+//! construction (key sets are small and stable).
 
-use std::collections::HashMap;
+use crate::cost::{AttributionRow, RowTotals};
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// The label value under which capped-out increments are exported.
+/// The label value under which capped-out charges are exported.
 pub const OVERFLOW_LABEL: &str = "_overflow";
 
-/// A capped family of labeled counters; see the module docs.
+/// A capped map of attribution rows; see the module docs.
 ///
 /// Shareable by reference across threads; all methods take `&self`.
-pub struct CounterFamily {
-    series: RwLock<HashMap<String, Arc<AtomicU64>>>,
+pub struct LabeledRows<K> {
+    rows: RwLock<BTreeMap<K, Arc<AttributionRow>>>,
     cap: usize,
-    overflow: Arc<AtomicU64>,
+    overflow: Arc<AttributionRow>,
 }
 
-impl fmt::Debug for CounterFamily {
+impl<K> fmt::Debug for LabeledRows<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CounterFamily")
+        f.debug_struct("LabeledRows")
             .field("cap", &self.cap)
-            .field("series", &self.len())
-            .field("overflow", &self.overflow.load(Ordering::Relaxed))
-            .finish()
+            .field("overflow", &self.overflow.read())
+            .finish_non_exhaustive()
     }
 }
 
-impl CounterFamily {
-    /// An empty family admitting at most `cap` distinct label values
-    /// (clamped to at least 1).
-    pub fn new(cap: usize) -> CounterFamily {
-        CounterFamily {
-            series: RwLock::new(HashMap::new()),
+impl<K: Ord> LabeledRows<K> {
+    /// An empty map admitting at most `cap` distinct keys (clamped to
+    /// at least 1).
+    pub fn new(cap: usize) -> LabeledRows<K> {
+        LabeledRows {
+            rows: RwLock::new(BTreeMap::new()),
             cap: cap.max(1),
-            overflow: Arc::new(AtomicU64::new(0)),
+            overflow: Arc::default(),
         }
     }
 
-    /// The counter handle for `value`, creating it while the family is
-    /// under its cap; at the cap, the shared overflow handle. Resolve
-    /// once and keep the `Arc` where the call site is hot.
-    pub fn handle(&self, value: &str) -> Arc<AtomicU64> {
-        if let Some(found) = self
-            .series
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(value)
-        {
-            return Arc::clone(found);
+    /// Runs `f` on `key`'s row, admitting the key while the map is
+    /// under its cap; at the cap, on the shared overflow row. A tracked
+    /// key costs one read lock and no allocation; pass `Arc::clone` to
+    /// keep a handle where the call site is hot.
+    pub fn with_row<Q, R>(&self, key: &Q, f: impl FnOnce(&Arc<AttributionRow>) -> R) -> R
+    where
+        K: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = K> + ?Sized,
+    {
+        if let Some(row) = self.rows.read().unwrap_or_else(|e| e.into_inner()).get(key) {
+            return f(row);
         }
-        let mut series = self.series.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(found) = series.get(value) {
-            return Arc::clone(found);
+        let mut rows = self.rows.write().unwrap_or_else(|e| e.into_inner());
+        if rows.len() >= self.cap && !rows.contains_key(key) {
+            return f(&self.overflow);
         }
-        if series.len() >= self.cap {
-            return Arc::clone(&self.overflow);
-        }
-        let counter = Arc::new(AtomicU64::new(0));
-        series.insert(value.to_string(), Arc::clone(&counter));
-        counter
+        f(rows.entry(key.to_owned()).or_default())
     }
 
-    /// Adds `n` to `value`'s counter (or to overflow past the cap).
-    pub fn add(&self, value: &str, n: u64) {
-        self.handle(value).fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Distinct label values currently admitted (excludes overflow).
-    pub fn len(&self) -> usize {
-        self.series.read().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether no label value has been admitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All `(label value, count)` pairs sorted by label value, with
-    /// [`OVERFLOW_LABEL`] appended when any increment overflowed —
-    /// ready to feed `counter_with`.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let series = self.series.read().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<(String, u64)> = series
-            .iter()
-            .map(|(value, counter)| (value.clone(), counter.load(Ordering::Relaxed)))
-            .collect();
-        drop(series);
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        let overflowed = self.overflow.load(Ordering::Relaxed);
-        if overflowed > 0 {
-            out.push((OVERFLOW_LABEL.to_string(), overflowed));
+    /// Sums over every admitted row and the overflow row.
+    pub fn totals(&self) -> RowTotals {
+        let mut out = self.overflow.read();
+        let rows = self.rows.read().unwrap_or_else(|e| e.into_inner());
+        for row in rows.values() {
+            out.add(row.read());
         }
         out
+    }
+
+    /// Every admitted key's row in key order, and the overflow row. A
+    /// cold-path read; it allocates freely.
+    pub fn snapshot(&self) -> (Vec<(K, RowTotals)>, RowTotals)
+    where
+        K: Clone,
+    {
+        let rows = self.rows.read().unwrap_or_else(|e| e.into_inner());
+        let admitted = rows
+            .iter()
+            .map(|(key, row)| (key.clone(), row.read()))
+            .collect();
+        (admitted, self.overflow.read())
     }
 }
 
@@ -113,64 +99,80 @@ impl CounterFamily {
 mod tests {
     use super::*;
 
+    fn counts(rows: &LabeledRows<String>) -> (Vec<(String, u64)>, u64) {
+        let (admitted, overflow) = rows.snapshot();
+        let admitted = admitted.into_iter().map(|(k, r)| (k, r.count)).collect();
+        (admitted, overflow.count)
+    }
+
     #[test]
     fn labels_count_independently() {
-        let family = CounterFamily::new(8);
-        family.add("sports", 3);
-        family.add("finance", 1);
-        family.add("sports", 2);
+        let rows = LabeledRows::new(8);
+        rows.with_row("sports", |r| r.add_count(3));
+        rows.with_row("finance", |r| r.add_count(1));
+        rows.with_row("sports", |r| r.add_count(2));
         assert_eq!(
-            family.snapshot(),
-            vec![("finance".to_string(), 1), ("sports".to_string(), 5)]
+            counts(&rows),
+            (
+                vec![("finance".to_string(), 1), ("sports".to_string(), 5)],
+                0
+            )
         );
-        assert_eq!(family.len(), 2);
     }
 
     #[test]
     fn cap_routes_excess_labels_to_overflow() {
-        let family = CounterFamily::new(2);
-        family.add("a", 1);
-        family.add("b", 1);
-        family.add("c", 10);
-        family.add("d", 5);
-        family.add("a", 1); // existing series keep counting
-        assert_eq!(family.len(), 2, "cap admits exactly 2 series");
-        let snap = family.snapshot();
+        let rows = LabeledRows::new(2);
+        rows.with_row("a", |r| r.add_count(1));
+        rows.with_row("b", |r| r.add_count(1));
+        rows.with_row("c", |r| r.add_count(10));
+        rows.with_row("d", |r| r.add_count(5));
+        rows.with_row("a", |r| r.add_count(1)); // admitted keys keep counting
+        let (admitted, overflow) = counts(&rows);
         assert_eq!(
-            snap,
-            vec![
-                ("a".to_string(), 2),
-                ("b".to_string(), 1),
-                (OVERFLOW_LABEL.to_string(), 15),
-            ]
+            admitted,
+            vec![("a".to_string(), 2), ("b".to_string(), 1)],
+            "cap admits exactly 2 keys"
         );
+        assert_eq!(overflow, 15);
         // Total counts are preserved exactly.
-        assert_eq!(snap.iter().map(|(_, v)| v).sum::<u64>(), 18);
+        assert_eq!(admitted.iter().map(|(_, v)| v).sum::<u64>() + overflow, 18);
     }
 
     #[test]
     fn hot_path_handles_are_stable() {
-        let family = CounterFamily::new(4);
-        let h1 = family.handle("sub-1");
-        let h2 = family.handle("sub-1");
-        h1.fetch_add(7, Ordering::Relaxed);
-        h2.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(family.snapshot(), vec![("sub-1".to_string(), 8)]);
-        assert!(family.handle("sub-1").load(Ordering::Relaxed) == 8);
+        let rows: LabeledRows<u64> = LabeledRows::new(4);
+        let h1 = rows.with_row(&1, Arc::clone);
+        let h2 = rows.with_row(&1, Arc::clone);
+        h1.add_count(7);
+        h2.add_sample(10, 20);
+        let (admitted, _) = rows.snapshot();
+        assert_eq!(
+            admitted,
+            vec![(
+                1,
+                RowTotals {
+                    count: 7,
+                    match_ns: 10,
+                    deliver_ns: 20,
+                    samples: 1
+                }
+            )]
+        );
+        assert_eq!(rows.with_row(&1, |r| r.read().count), 7);
     }
 
     #[test]
     fn concurrent_increments_reconcile() {
-        use std::sync::Arc as StdArc;
-        let family = StdArc::new(CounterFamily::new(4));
+        let rows = Arc::new(LabeledRows::new(4));
         let threads: Vec<_> = (0..4)
             .map(|t| {
-                let family = StdArc::clone(&family);
+                let rows = Arc::clone(&rows);
                 std::thread::spawn(move || {
-                    // Two admitted labels + contention past the cap.
+                    // Two admitted keys + contention past the cap.
                     for _ in 0..10_000 {
-                        family.add(if t % 2 == 0 { "even" } else { "odd" }, 1);
-                        family.add(&format!("spill-{t}"), 1);
+                        rows.with_row(if t % 2 == 0 { "even" } else { "odd" }, |r| r.add_count(1));
+                        rows.with_row(format!("spill-{t}").as_str(), |r| r.add_count(1));
                     }
                 })
             })
@@ -178,7 +180,11 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let total: u64 = family.snapshot().iter().map(|(_, v)| v).sum();
-        assert_eq!(total, 80_000, "no lost increments: {:?}", family.snapshot());
+        let (admitted, overflow) = counts(&rows);
+        let total = admitted.iter().map(|(_, v)| v).sum::<u64>() + overflow;
+        assert_eq!(
+            total, 80_000,
+            "no lost increments: {admitted:?} + {overflow}"
+        );
     }
 }

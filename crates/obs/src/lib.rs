@@ -32,11 +32,12 @@
 //!   evidence of an incident survives the incident, and whose frame
 //!   differences ([`WindowedDelta`]) turn forever-counters into windowed
 //!   rates and windowed percentiles;
-//! * [`CounterFamily`] — labeled counter series under a hard
-//!   cardinality cap with an overflow bucket;
-//! * [`CostTable`] — a sharded exact cost-attribution table charging
-//!   sampled match/deliver nanoseconds to index entries and
-//!   subscribers without allocating on the hot path.
+//! * [`AttributionRow`] — one attributed key's count and sampled
+//!   nanosecond columns, charged with relaxed atomics;
+//! * [`LabeledRows`] — attribution rows keyed by theme or subscriber
+//!   under a hard cardinality cap with an overflow row;
+//! * [`CostTable`] — a sharded exact table of attribution rows keyed by
+//!   index-entry slot, charged without allocating on the hot path.
 //!
 //! * [`json_document`] — the one JSON encoder: every endpoint body,
 //!   bundle and bench report in the workspace is a `#[derive(Serialize)]`
@@ -60,8 +61,8 @@ mod serve;
 mod span;
 mod topk;
 
-pub use cost::{CostEntry, CostTable, CostTotals};
-pub use dim::{CounterFamily, OVERFLOW_LABEL};
+pub use cost::{sort_by_cost, AttributionRow, CostEntry, CostTable, RowTotals};
+pub use dim::{LabeledRows, OVERFLOW_LABEL};
 pub use escape::{is_valid_label_name, is_valid_metric_name};
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use json::json_document;

@@ -110,20 +110,27 @@ type Coalesced<'a, T> = (&'a str, &'a str, &'a Labels, T);
 
 /// `samples` with each duplicate `(name, labels)` folded into its first
 /// occurrence by `merge` (counters sum, gauges keep the last value,
-/// histograms and summaries merge), registration order preserved.
+/// histograms and summaries merge). Names keep the order of their first
+/// registration, and a new label set joins the end of its name's group,
+/// so each family renders as one block under its header.
 fn coalesce<T: Clone>(
     samples: &[(String, String, Labels, T)],
     merge: impl Fn(&mut T, &T),
 ) -> Vec<Coalesced<'_, T>> {
     let mut out: Vec<Coalesced<'_, T>> = Vec::new();
     for (name, help, labels, value) in samples {
-        match out
+        if let Some(entry) = out
             .iter_mut()
             .find(|(n, _, l, _)| *n == name && *l == labels)
         {
-            Some(entry) => merge(&mut entry.3, value),
-            None => out.push((name, help, labels, value.clone())),
+            merge(&mut entry.3, value);
+            continue;
         }
+        let at = out
+            .iter()
+            .rposition(|(n, ..)| *n == name)
+            .map_or(out.len(), |last| last + 1);
+        out.insert(at, (name, help, labels, value.clone()));
     }
     out
 }
@@ -577,6 +584,30 @@ mod tests {
         assert!(text.contains("tep_stage_match_seconds_sum{window=\"10s\"} 0.00001"));
         let json = r.render_json();
         assert!(json.contains("\"tep_stage_match_seconds{window=\\\"10s\\\"}\""));
+    }
+
+    #[test]
+    fn interleaved_label_sets_render_as_one_block_per_family() {
+        let h = LatencyHistogram::new();
+        h.record_nanos(1_000);
+        let mut r = MetricsRegistry::new();
+        r.histogram("a_seconds", "A.", h.snapshot())
+            .histogram("b_seconds", "B.", h.snapshot())
+            .histogram_with("a_seconds", "A.", &[("window", "10s")], h.snapshot())
+            .counter_with("c_total", "C.", &[("k", "1")], 1)
+            .counter("d_total", "D.", 2)
+            .counter_with("c_total", "C.", &[("k", "2")], 3);
+        let text = r.render_prometheus();
+        let families: Vec<&str> = text
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| line.split(['_', '{', ' ']).next().unwrap())
+            .collect();
+        let mut blocks = families.clone();
+        blocks.dedup();
+        assert_eq!(blocks, ["c", "d", "a", "b"], "{text}");
+        assert!(text.contains("c_total{k=\"1\"} 1\nc_total{k=\"2\"} 3\n"));
+        assert!(text.contains("a_seconds_count 1\na_seconds_bucket{window=\"10s\","));
     }
 
     #[test]

@@ -1256,6 +1256,28 @@ fn exported_schema(text: &str) -> Vec<String> {
     rows
 }
 
+/// Asserts that each family's samples form one block right under its
+/// one `# TYPE` line.
+fn assert_contiguous_families(text: &str) {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut current = None;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let name = rest.split_once(' ').expect("TYPE line").0;
+            assert!(seen.insert(name), "{name} has two TYPE lines:\n{text}");
+            current = Some(name);
+        } else if !line.starts_with('#') {
+            let name = line.split(['{', ' ']).next().expect("sample name");
+            let inside = current.is_some_and(|family| {
+                ["", "_bucket", "_sum", "_count"]
+                    .iter()
+                    .any(|suffix| name.strip_suffix(suffix) == Some(family))
+            });
+            assert!(inside, "{line:?} is outside its family's block:\n{text}");
+        }
+    }
+}
+
 /// The exported schema is pinned: the families, types, HELP texts and
 /// label keys of `/metrics`, and the flight-recorder frame counters the
 /// windowed series read, for a broker with every optional section on and
@@ -1285,7 +1307,9 @@ fn exported_metric_schema_is_pinned() {
         .subscribe(parse_subscription("{k= v}").unwrap())
         .unwrap();
     publish_some(&base);
-    let base_schema = exported_schema(&base.metrics().render_prometheus());
+    let base_text = base.metrics().render_prometheus();
+    assert_contiguous_families(&base_text);
+    let base_schema = exported_schema(&base_text);
     assert_eq!(base_schema, BASE_SCHEMA, "{base_schema:#?}");
     drop(base_rx);
     base.shutdown();
@@ -1306,7 +1330,9 @@ fn exported_metric_schema_is_pinned() {
     publish_some(&full);
     full.record_diagnostic_frame();
     full.record_diagnostic_frame();
-    let full_schema = exported_schema(&full.metrics().render_prometheus());
+    let full_text = full.metrics().render_prometheus();
+    assert_contiguous_families(&full_text);
+    let full_schema = exported_schema(&full_text);
     let mut expected: Vec<&str> = BASE_SCHEMA.iter().chain(SECTION_SCHEMA).copied().collect();
     expected.sort_unstable();
     assert_eq!(full_schema, expected, "{full_schema:#?}");
